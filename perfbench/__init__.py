@@ -1,0 +1,5 @@
+"""The repository benchmark: seeded workloads, end-to-end and per-layer metrics.
+
+Run one workload with ``python3 perfbench/run.py --workload <name>
+--seed <n> --seconds <s> --trace <0|1>``; see ``perfbench/NOTES.md``.
+"""
