@@ -291,18 +291,18 @@ def check_fault_injection_noop(seed: int) -> DeterminismResult:
 
     :mod:`repro.faults` threads penalty queries through every hardware
     hot path (DRAM, SRAM, NoC, reduction network, CP dispatch) and the
-    resilient serving loop.  The contract mirrors PR 1's hooks-are-
-    no-ops rule: attaching a :class:`~repro.faults.FaultInjector` whose
-    plan is *empty* must leave cycles, outputs, stall attributions, and
-    serving latencies bit-identical to no injector at all — faults are
-    opt-in per event, never ambient.
+    serving engine.  The contract mirrors the observability rule that
+    hooks are no-ops: attaching a :class:`~repro.faults.FaultInjector`
+    whose plan is *empty* must leave cycles, outputs, stall
+    attributions, and every serving report array and batch record
+    bit-identical to no injector at all — faults are opt-in per event,
+    never ambient.
     """
     from repro import Accelerator
     from repro.faults import FaultInjector, FaultPlan
     from repro.kernels.fc import run_fc
     from repro.kernels.tbe import TBEConfig, run_tbe
     from repro.obs.metrics import MetricRegistry
-    from repro.serving.resilience import simulate_serving_resilient
     from repro.serving.simulator import BatchingConfig, simulate_serving
 
     res = DeterminismResult(seed=seed, kind="faults")
@@ -374,23 +374,24 @@ def check_fault_injection_noop(seed: int) -> DeterminismResult:
     def latency_model(batch: int) -> float:
         return base + slope * batch
 
-    plain = simulate_serving(latency_model, qps, batching,
-                             num_requests=400, seed=seed,
-                             registry=MetricRegistry())
-    injected = simulate_serving_resilient(
+    bare = simulate_serving(latency_model, qps, batching,
+                            num_requests=400, seed=seed, faults=None,
+                            registry=MetricRegistry())
+    injected = simulate_serving(
         latency_model, qps, batching, num_requests=400, seed=seed,
         faults=FaultInjector(empty_plan), registry=MetricRegistry())
     for field_name in ("latencies_us", "queue_wait_us", "batch_wait_us",
-                       "execute_us", "arrivals_us", "batch_index"):
+                       "execute_us", "retry_overhead_us", "arrivals_us",
+                       "batch_index", "status", "attempts", "abort_us"):
         if not np.array_equal(getattr(injected, field_name),
-                              getattr(plain, field_name)):
+                              getattr(bare, field_name), equal_nan=True):
             res.violations.append(
-                "resilient serving with an empty fault plan changed "
-                f"{field_name} vs the plain simulator")
-    if injected.batch_sizes != plain.batch_sizes:
+                "serving with an empty fault plan changed "
+                f"{field_name} vs no injector")
+    if ([b.to_dict() for b in injected.batches]
+            != [b.to_dict() for b in bare.batches]):
         res.violations.append(
-            "resilient serving with an empty fault plan changed batch "
-            "boundaries")
+            "serving with an empty fault plan changed batch records")
     if injected.availability != 1.0:
         res.violations.append(
             f"empty fault plan aborted requests "
@@ -812,9 +813,8 @@ def check_critical_noop(seed: int) -> DeterminismResult:
     from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig,
                                      RouterConfig, TabularLatencyModel,
                                      simulate_fleet, uniform_fleet)
-    from repro.serving.resilience import (ResilienceConfig,
-                                          simulate_serving_resilient)
-    from repro.serving.simulator import BatchingConfig, simulate_serving
+    from repro.serving.simulator import (BatchingConfig, ResilienceConfig,
+                                         simulate_serving)
     from repro.serving.traffic import trace_preset
 
     res = DeterminismResult(seed=seed, kind="critical")
@@ -882,14 +882,18 @@ def check_critical_noop(seed: int) -> DeterminismResult:
                     f"stored latency {report.latencies_us[i]!r}")
                 return
 
-    plain = simulate_serving(latency_model, qps, batching,
-                             num_requests=300, seed=seed)
-    check_paths(plain, "serving", serving_critical_path)
+    for label, faults in (("serving", None),
+                          ("serving[empty plan]",
+                           FaultInjector(FaultPlan(events=())))):
+        check_paths(simulate_serving(latency_model, qps, batching,
+                                     num_requests=300, seed=seed,
+                                     faults=faults),
+                    label, serving_critical_path)
 
     fault_plan = FaultPlan.generate(
         seed, FaultProfile(horizon_us=30_000.0),
         kinds=("card.failure", "card.slowdown"))
-    faulted = simulate_serving_resilient(
+    faulted = simulate_serving(
         latency_model, qps, batching, num_requests=300, seed=seed,
         resilience=ResilienceConfig(deadline_us=8_000.0, max_retries=1),
         faults=FaultInjector(fault_plan))

@@ -144,8 +144,6 @@ def _report_stats(report) -> Dict:
 
     slo = slo_from_report(report, sla_us=SLA_US,
                           availability_target=AVAILABILITY_TARGET)
-    attempts = report.attempts
-    mean_attempts = float(attempts.mean()) if attempts.size else 1.0
     telemetry = None
     if report.telemetry is not None:
         t = report.telemetry
@@ -165,7 +163,7 @@ def _report_stats(report) -> Dict:
         "qps_served": report.qps_served,
         "p50_us": report.p50_us,
         "p99_us": report.p99_us,
-        "mean_attempts": mean_attempts,
+        "mean_attempts": float(report.attempts.mean()),
         "retry_overhead_mean_us": report.breakdown_means()["retry_overhead"],
         "hedged_batches": report.hedged_batches,
         "hedge_wins": report.hedge_wins,

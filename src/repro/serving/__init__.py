@@ -4,14 +4,19 @@ The paper's motivation is datacenter economics — perf/TCO of *serving*
 recommendation requests (Sections 1-2).  This package closes the loop
 from the operator-level models back to that context:
 
-* :mod:`repro.serving.simulator` — a request-level queueing simulator:
-  Poisson arrivals, a batching window, per-batch latency from the
-  analytical model, latency percentiles and throughput, plus an exact
-  per-request queue-wait / batch-formation-wait / execute attribution
-  and optional request-waterfall span tracing;
-* :mod:`repro.serving.resilience` — the failure-handling layer:
-  per-attempt deadlines, capped-backoff retries, hedged dispatch, load
-  shedding, and card failover driven by :mod:`repro.faults`;
+* :mod:`repro.serving.simulator` — the one request-level serving
+  engine, :func:`~repro.serving.simulator.simulate_serving`: Poisson or
+  injected arrivals, a batching window, per-batch latency from the
+  analytical model, latency percentiles and throughput, an exact
+  per-request queue-wait / batch-formation-wait / retry / execute
+  attribution, optional request-waterfall span tracing, and the
+  failure handling (per-attempt deadlines, capped-backoff retries,
+  hedged dispatch, load shedding, card failover driven by
+  :mod:`repro.faults`);
+* :mod:`repro.serving.resilience` — the failure-handling vocabulary:
+  :class:`~repro.serving.resilience.ResilienceConfig` and
+  ``simulate_serving_resilient``, the same function object as
+  ``simulate_serving``;
 * :mod:`repro.serving.slo` — rolling p50/p95/p99 windows and
   error-budget burn against an SLA (aborted requests burn budget but
   never enter the percentile stream);
@@ -24,8 +29,8 @@ from the operator-level models back to that context:
 * :mod:`repro.serving.fleet` — the datacenter tier: a router with
   pluggable seeded policies (round-robin, least-loaded, power-of-two,
   hedging) in front of N sharded/replicated multi-card replicas, each
-  an independent :func:`~repro.serving.resilience.simulate_serving_resilient`
-  run, with correlated rack/power failures and burn-driven autoscaling;
+  an independent serving-engine run, with correlated rack/power
+  failures and burn-driven autoscaling;
 * :mod:`repro.serving.capacity` — fleet sizing: closed-form per-card
   throughput (:func:`~repro.serving.capacity.plan_capacity`) and the
   simulated minimum-replica answer

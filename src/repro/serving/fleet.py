@@ -713,9 +713,7 @@ class FleetReport:
 
     # -- ServingReport-compatible queries --------------------------------
     @property
-    def served_mask(self) -> Optional[np.ndarray]:
-        if self.status.size == 0:
-            return None
+    def served_mask(self) -> np.ndarray:
         return self.status == STATUS_SERVED
 
     @property
@@ -723,20 +721,14 @@ class FleetReport:
         n = self.arrivals_us.size
         if n == 0:
             return 1.0
-        mask = self.served_mask
-        if mask is None:
-            return 1.0
-        return float(np.count_nonzero(mask)) / n
+        return float(np.count_nonzero(self.served_mask)) / n
 
     def counts_by_status(self) -> Dict[str, int]:
-        if self.status.size == 0:
-            return {name: 0 for name in STATUS_NAMES}
         return {name: int(np.count_nonzero(self.status == code))
                 for code, name in enumerate(STATUS_NAMES)}
 
     def percentile(self, q: float) -> float:
-        mask = self.served_mask
-        lat = self.latencies_us if mask is None else self.latencies_us[mask]
+        lat = self.latencies_us[self.served_mask]
         if lat.size == 0:
             return float("nan")
         return float(np.percentile(lat, q))
@@ -759,11 +751,7 @@ class FleetReport:
         out: Dict[str, float] = {}
         for name in ("queue_wait", "batch_wait", "retry_overhead",
                      "route_overhead", "hedge_wait", "execute"):
-            values = getattr(self, f"{name}_us")
-            if values.size == 0:
-                out[name] = 0.0
-                continue
-            served = values if mask is None else values[mask]
+            served = getattr(self, f"{name}_us")[mask]
             out[name] = float(served.mean()) if served.size else 0.0
         return out
 
@@ -842,7 +830,7 @@ class FleetReport:
                 name=f"replica{spec.replica}.observed_latency_us")
 
         mask = self.served_mask
-        if mask is not None and self.arrivals_us.size:
+        if self.arrivals_us.size:
             completion = self.arrivals_us + self.latencies_us
             order = np.argsort(completion, kind="stable")
             for i in order.tolist():
@@ -856,8 +844,7 @@ class FleetReport:
         service: Dict[int, float] = {}
         for spec, report in zip(self.config.replicas, self.per_replica):
             local = report.served_mask
-            if (local is None or report.batch_index.size == 0
-                    or not report.batches):
+            if not report.batches:
                 continue
             indices = report.batch_index[local].astype(np.int64)
             if indices.size == 0:
@@ -1039,10 +1026,7 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         flags = local_is_hedge[r]
         which = flags.astype(np.int64)
         copy_latency[owners, which] = report.latencies_us
-        copy_status[owners, which] = (report.status
-                                      if report.status.size
-                                      else np.zeros(owners.size,
-                                                    dtype=np.int64))
+        copy_status[owners, which] = report.status
         copy_pos[owners, which] = np.arange(owners.size)
 
     has_hedge = decision.hedged >= 0
@@ -1080,10 +1064,8 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         queue_wait[mine] = report.queue_wait_us[pos]
         batch_wait[mine] = report.batch_wait_us[pos]
         execute[mine] = report.execute_us[pos]
-        if report.retry_overhead_us.size:
-            retry_overhead[mine] = report.retry_overhead_us[pos]
-        if report.status.size:
-            status[mine] = report.status[pos]
+        retry_overhead[mine] = report.retry_overhead_us[pos]
+        status[mine] = report.status[pos]
 
     abort_us = np.where(status == STATUS_SERVED, np.nan,
                         arrivals + latencies)

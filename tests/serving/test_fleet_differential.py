@@ -98,8 +98,9 @@ def test_batch_boundaries_and_stall_attribution_survive():
 def test_default_resilience_chains_down_to_plain_simulator():
     """N=1 fleet + default resilience == simulate_serving, bit for bit.
 
-    Two no-op layers compose: the fleet wraps the resilient engine,
-    which with the default config wraps the plain batching simulator.
+    The fleet wraps the one serving engine, which with the default
+    config is the plain batching simulation (golden digests in
+    ``test_resilience.py`` pin that).
     """
     arrivals = arrivals_for(2)
     fleet = simulate_fleet(MODEL, arrivals,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import PERMANENT, FaultEvent, FaultPlan, FaultInjector
 from repro.obs import MetricRegistry
@@ -10,6 +12,9 @@ from repro.serving import (BatchingConfig, ResilienceConfig,
                            STATUS_TIMEOUT, simulate_serving,
                            simulate_serving_resilient)
 from repro.serving.slo import slo_from_report
+from tests import strategies as shared
+from tests.serving import reference_engine
+from tests.serving.digests import arrays_digest, batches_digest
 
 
 def linear_latency(batch):
@@ -38,39 +43,88 @@ def assert_attribution_invariant(report):
     np.testing.assert_allclose(total, report.latencies_us, atol=1e-6)
 
 
-class TestBitIdentityWithPlainSimulator:
-    """Default config + no faults must be simulate_serving, bit for bit."""
+def step_latency(batch):
+    """A staircase model: 40us per started group of 8 samples."""
+    return 80.0 + 40.0 * ((batch + 7) // 8)
 
-    def equivalent_reports(self, **kwargs):
-        plain = simulate_serving(linear_latency, registry=MetricRegistry(),
-                                 **kwargs)
-        resil = simulate_serving_resilient(
-            linear_latency, registry=MetricRegistry(), **kwargs)
-        return plain, resil
+
+#: explicit arrivals with three-way same-instant ties
+TIES = np.repeat(np.arange(0.0, 6_000.0, 37.5), 3)[:400]
+
+#: fault-free cases and their golden digests, computed with
+#: :mod:`tests.serving.digests` from the plain batching simulator that
+#: predates the merged engine: (arrays digest, batch-records digest)
+PLAIN_CASES = {
+    "qps500": dict(qps=500, num_requests=800, seed=500),
+    "qps10000": dict(qps=10_000, num_requests=800, seed=10_000),
+    "qps300000": dict(qps=300_000, num_requests=800, seed=300_000),
+    "qps50000": dict(qps=50_000, num_requests=500),
+    "tight": dict(qps=120_000, num_requests=600, seed=3,
+                  batching=BatchingConfig(max_batch=4, max_wait_us=50.0)),
+    "wide": dict(qps=80_000, num_requests=600, seed=4,
+                 batching=BatchingConfig(max_batch=512,
+                                         max_wait_us=1000.0)),
+    "step": dict(qps=40_000, num_requests=600, seed=5,
+                 latency_model=step_latency,
+                 batching=BatchingConfig(max_batch=32, max_wait_us=100.0)),
+    "ties": dict(qps=0.0, arrivals=TIES,
+                 batching=BatchingConfig(max_batch=16, max_wait_us=60.0)),
+}
+PLAIN_GOLDEN = {
+    "qps500": (
+        "f7b79744ee3b0f859dbd03b87b14352d8f51c2601419555fe646bd52b115db48",
+        "71c8f5a4f1035ef6e05ca81cdff302989cae98a1c1aa49441bd615f6e68e3536"),
+    "qps10000": (
+        "b69e96dcdcc43743ec0617987decd1286fe28e7b56696ac30ccf67c3a9b6cacf",
+        "e37d5ebe983be4ca3e62a46977ab08769939ad397fbcf0a1981a72cb8563852b"),
+    "qps300000": (
+        "7e20e1305c8c655a257f10a40a0cdc6a1ad2e49fe62572f9911a309e012252fb",
+        "2498b128b4e5a7d3165f5b8f38d1072dc9cfba9c2a809eee52ecba24c4f0dde5"),
+    "qps50000": (
+        "897827391882f4f7f710bfd2df0b0f42d439acba7ccc2f8076b06edf2bc048f2",
+        "b21ba8e3fb18023097fa6a7ee6f0e0302ae072d06a625cdfa1140e89d453e609"),
+    "tight": (
+        "1c77f73c41e65c58b763dcdc6e6683ca042f5e079f7e05f63a4c770d80d11b1b",
+        "d4a9c922be60c414944bac7be9c8fcd51ddf8eae993558fd41289fd5902bad56"),
+    "wide": (
+        "de0ef594539d46cd28af2de6950cf24a9128ca49c9c8ae8c65aaa37074c09e96",
+        "4593890fdda75cbb48c5c513ed0e8da97e78642f3c3f4c44cbb6503e1dc501c3"),
+    "step": (
+        "d4ac472e9968b98f2fc40cb6868e466508def124e90f110ead33d12ce8a59fe8",
+        "4556f28c2d3403452cea5ff9a825b947e7c0c5b2297592b9df7d8c90a83a18c6"),
+    "ties": (
+        "01753cf70851b3d633f0205586bfe46f328420823e6c544a700b06bd69717cda",
+        "d19e4668e71af58143f8e0840a897f860f649b491f5f9946dfa7e9abb6fe3973"),
+}
+
+
+class TestBitIdentityWithPlainSimulator:
+    """Default config + no faults reproduces the plain simulator's
+    reports bit for bit, pinned by golden digests."""
+
+    def assert_golden(self, name):
+        report = simulate_serving(registry=MetricRegistry(),
+                                  **{"latency_model": linear_latency,
+                                     **PLAIN_CASES[name]})
+        assert (arrays_digest(report), batches_digest(report)) \
+            == PLAIN_GOLDEN[name]
 
     @pytest.mark.parametrize("qps", [500, 10_000, 300_000])
     def test_arrays_bit_identical(self, qps):
-        plain, resil = self.equivalent_reports(qps=qps, num_requests=800,
-                                               seed=qps)
-        for name in ("latencies_us", "queue_wait_us", "batch_wait_us",
-                     "execute_us", "arrivals_us", "batch_index"):
-            np.testing.assert_array_equal(getattr(plain, name),
-                                          getattr(resil, name), err_msg=name)
-        assert plain.batch_sizes == resil.batch_sizes
-        assert plain.qps_served == resil.qps_served
-        assert plain.busy_fraction == resil.busy_fraction
+        self.assert_golden(f"qps{qps}")
 
     def test_batch_records_identical(self):
-        plain, resil = self.equivalent_reports(qps=50_000, num_requests=500)
-        assert [b.to_dict() for b in plain.batches] == \
-            [b.to_dict() for b in resil.batches]
+        self.assert_golden("qps50000")
+
+    @pytest.mark.parametrize("name", ["tight", "wide", "step", "ties"])
+    def test_golden_digests(self, name):
+        self.assert_golden(name)
 
     def test_empty_injector_is_bit_identical(self):
         bare = resilient(qps=40_000, n=600)
         armed = resilient(qps=40_000, n=600,
                           plan=FaultPlan(events=()))
-        np.testing.assert_array_equal(bare.latencies_us, armed.latencies_us)
-        np.testing.assert_array_equal(bare.execute_us, armed.execute_us)
+        assert_reports_bit_identical(armed, bare)
         assert armed.availability == 1.0
 
     def test_all_served_when_no_failure_features(self):
@@ -80,6 +134,102 @@ class TestBitIdentityWithPlainSimulator:
         assert (report.attempts == 1).all()
         assert (report.retry_overhead_us == 0.0).all()
         assert np.isnan(report.abort_us).all()
+
+
+REPORT_ARRAYS = ("latencies_us", "queue_wait_us", "batch_wait_us",
+                 "execute_us", "retry_overhead_us", "arrivals_us",
+                 "batch_index", "status", "attempts", "abort_us")
+
+
+def assert_reports_bit_identical(got, want):
+    """Every report array, batch record and count, bitwise."""
+    for name in REPORT_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert [b.to_dict() for b in got.batches] == \
+        [b.to_dict() for b in want.batches]
+    assert got.batch_sizes == want.batch_sizes
+    assert got.counts_by_status() == want.counts_by_status()
+    assert (got.qps_offered, got.qps_served, got.busy_fraction) == \
+        (want.qps_offered, want.qps_served, want.busy_fraction)
+    assert (got.hedged_batches, got.hedge_wins) == \
+        (want.hedged_batches, want.hedge_wins)
+
+
+@st.composite
+def serving_cases(draw):
+    """One engine configuration: batching, every resilience knob, an
+    optional seeded card fault plan, and Poisson or tied arrivals."""
+    num_cards = draw(st.integers(1, 4))
+    batching = BatchingConfig(
+        max_batch=draw(st.sampled_from([1, 2, 4, 8, 32, 256])),
+        max_wait_us=draw(st.sampled_from([0.0, 25.0, 200.0, 700.0])
+                         | st.floats(0.0, 800.0)))
+    res = ResilienceConfig(
+        deadline_us=draw(st.sampled_from([0.0, 300.0, 900.0, 4_000.0])
+                         | st.floats(100.0, 5_000.0)),
+        max_retries=draw(st.integers(0, 3)),
+        retry_backoff_us=draw(st.sampled_from([0.0, 50.0, 100.0])),
+        backoff_cap_us=draw(st.sampled_from([0.0, 200.0, 1600.0])),
+        hedge_after_us=draw(st.sampled_from([0.0, 0.0, 50.0, 400.0])),
+        shed_queue_depth=draw(st.sampled_from([0, 0, 1, 8, 64])),
+        num_cards=num_cards)
+    plan = draw(st.one_of(st.none(),
+                          shared.fault_plans(num_cards=num_cards)))
+    if draw(st.booleans()):
+        ticks = draw(st.lists(st.integers(0, 600), max_size=250))
+        source = dict(qps=0.0, arrivals=25.0 * np.sort(ticks).astype(float))
+    else:
+        source = dict(qps=draw(st.sampled_from([5_000.0, 40_000.0,
+                                                150_000.0])),
+                      num_requests=draw(st.integers(0, 300)),
+                      seed=draw(shared.seeds))
+    base = draw(st.sampled_from([60.0, 150.0]))
+    return batching, res, plan, source, base
+
+
+def run_both(batching, res, plan, source, base):
+    def model(batch):
+        return base + 2.0 * batch
+
+    def run(engine):
+        faults = FaultInjector(plan) if plan is not None else None
+        return engine(model, batching=batching, resilience=res,
+                      faults=faults, registry=MetricRegistry(), **source)
+
+    return (run(simulate_serving),
+            run(reference_engine.simulate_serving_resilient))
+
+
+class TestDifferentialAgainstReference:
+    """The engine against the single-heap loop it replaced
+    (:mod:`tests.serving.reference_engine`), bit for bit."""
+
+    def test_one_engine(self):
+        assert simulate_serving is simulate_serving_resilient
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=serving_cases())
+    def test_matches_reference(self, case):
+        got, want = run_both(*case)
+        assert_reports_bit_identical(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_with_every_feature_firing(self, seed):
+        res = ResilienceConfig(deadline_us=400.0, max_retries=2,
+                               retry_backoff_us=50.0, hedge_after_us=50.0,
+                               shed_queue_depth=16, num_cards=3)
+        plan = FaultPlan.generate(seed, kinds=("card.failure",
+                                               "card.slowdown"))
+        got, want = run_both(TIGHT_BATCHING, res, plan,
+                             dict(qps=60_000.0, num_requests=600,
+                                  seed=seed), 150.0)
+        assert_reports_bit_identical(got, want)
+        counts = got.counts_by_status()
+        assert counts["shed"] and counts["timeout"]
+        assert ((got.attempts > 1) & got.served_mask).any()
+        assert got.hedged_batches
 
 
 class TestDeadlines:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.eval.machines import MACHINES
 from repro.models.configs import MODEL_ZOO
+from repro.obs import MetricRegistry
 from repro.serving import BatchingConfig, plan_capacity, simulate_serving
 from repro.serving.capacity import max_qps_per_card
 from repro.serving.simulator import BatchLatencyModel
@@ -66,6 +67,14 @@ class TestServingSimulator:
     def test_invalid_qps_rejected(self):
         with pytest.raises(ValueError):
             simulate_serving(linear_latency, qps=0)
+
+    def test_fault_free_run_exports_outcome_counter(self):
+        registry = MetricRegistry()
+        simulate_serving(linear_latency, qps=10_000, num_requests=700,
+                         registry=registry)
+        outcomes = registry.counter("serving_outcomes")
+        assert outcomes.get(status="served").value == 700
+        assert outcomes.total() == 700
 
     def test_sla_check(self):
         report = simulate_serving(linear_latency, qps=1_000,

@@ -42,7 +42,7 @@ class TestDerivation:
         tel = ServingTelemetry.from_report(report)
         for name in ("queue_wait", "batch_wait", "execute"):
             assert tel.phases[name].count == 2_000
-        # plain simulator has no retries
+        # a run without retries has no retry phase
         assert tel.phases["retry_overhead"].count == 0
         assert set(PHASES) == set(tel.phases)
 
