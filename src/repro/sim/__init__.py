@@ -5,21 +5,20 @@ Python generators that yield either a delay (number of cycles) or an
 :class:`Event` to wait on.  All hardware behaviours in :mod:`repro.core`
 (cores issuing commands, the Command Processor stalling an MML on a
 circular-buffer element check, DMA engines streaming data over the NoC)
-are expressed as processes over this kernel.
+are expressed as processes over this kernel.  Pending work is one
+binary heap of timed entries plus a FIFO deque of same-timestamp
+callbacks (see :mod:`repro.sim.engine`).
 """
 
-from repro.sim.calendar import CalendarQueue, HeapTimeQueue
-from repro.sim.engine import Engine, Event, Process, SimulationError
-from repro.sim.fastforward import FastForward
+from repro.sim.engine import (Engine, Event, HeapTimeQueue, Process,
+                              SimulationError)
 from repro.sim.resources import Queue, Resource, Semaphore
 from repro.sim.stats import StatGroup
 from repro.sim.trace import Span, Tracer
 
 __all__ = [
-    "CalendarQueue",
     "Engine",
     "Event",
-    "FastForward",
     "HeapTimeQueue",
     "Process",
     "Queue",

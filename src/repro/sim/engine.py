@@ -14,52 +14,71 @@ Processes are generators.  A process may yield:
 A process finishes when its generator returns; ``return value`` inside
 the generator becomes :attr:`Process.value`.
 
-Scheduling fast-path
---------------------
+The kernel
+----------
 
-Most scheduling traffic in a busy simulation is *immediate*: event
-triggers, process resumptions, and zero-delay timeouts all land at the
-current timestamp.  Routing those through the time heap costs two
-``O(log n)`` heap operations each, so the engine keeps a separate FIFO
-deque for same-timestamp callbacks and only uses the heap for genuine
-time advances.
+Pending work lives in exactly two structures:
 
-Ordering semantics are unchanged: every callback — timed or deque —
-still draws a ticket from the one global counter, and the run loop
-compares the deque head's ticket against the time-queue head whenever
-that head is at the current time, so callbacks at equal timestamps
-execute in exactly the order a pure-heap kernel would run them
-(``tests/property/test_engine_equivalence.py`` proves this against a
-straight-heap reference implementation).
+* a binary heap (:class:`HeapTimeQueue`) of timed entries
+  ``(at, ticket, callback)``, for callbacks scheduled in the future;
+* a FIFO deque of ``(ticket, callback, arg)`` entries for callbacks at
+  the current timestamp — event triggers, process wakeups and
+  zero-delay timeouts, which dominate a busy simulation and would
+  otherwise each cost two ``O(log n)`` heap operations.
 
-Timed entries live in a :class:`~repro.sim.calendar.CalendarQueue` — a
-bucketed calendar queue with O(1) amortised insert/pop and a
-numpy-promoted overflow ladder for far-future events — which orders by
-the identical ``(at, ticket)`` key the old global heap used, so the
-structure swap is invisible to the event stream.
+Every callback, timed or deque, draws a ticket from one global
+counter, and the run loop compares the deque head's ticket against the
+heap head whenever that head is at the current time.  Callbacks at
+equal timestamps therefore execute in exactly the order a single
+``(time, ticket)`` heap would run them
+(``tests/property/test_engine_equivalence.py`` proves this against the
+straight-heap reference).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from repro.sim.calendar import CalendarQueue
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 #: Sentinel argument for deque entries whose callback takes no argument.
 _NO_ARG = object()
 
-#: Consecutive already-triggered yields a process may consume inline
-#: before deferring back through the engine (see Process._resume).  The
-#: cap keeps a pathological poll-forever loop reachable by the engine's
-#: ``max_events`` guard instead of spinning outside it.
-_TRAMPOLINE_CAP = 64
-
 
 class SimulationError(RuntimeError):
     """Raised for protocol errors inside the simulation kernel."""
+
+
+class HeapTimeQueue:
+    """Binary heap of timed ``(at, ticket, callback)`` entries.
+
+    Tickets are unique, so entries order by ``(at, ticket)`` and the
+    callback is never compared.  ``head`` is the next entry (or
+    ``None``), kept current so the run loop can tie-check it against
+    the deque without a method call; ``size`` drives ``peak_heap_size``.
+    """
+
+    __slots__ = ("_heap", "head", "size")
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, Any]] = []
+        self.head: Optional[Tuple[float, int, Any]] = None
+        self.size = 0
+
+    def push(self, at: float, ticket: int, callback: Any) -> None:
+        heap = self._heap
+        heappush(heap, (at, ticket, callback))
+        self.size += 1
+        self.head = heap[0]
+
+    def pop(self) -> Tuple[float, int, Any]:
+        heap = self._heap
+        entry = heappop(heap)
+        self.size -= 1
+        self.head = heap[0] if heap else None
+        return entry
 
 
 class Event:
@@ -169,72 +188,6 @@ class Process(Event):
             if not self._triggered:
                 self.fail(exc)
             return
-        engine = self.engine
-        steps = 0
-        while True:
-            if isinstance(target, Event):
-                if not target._triggered:
-                    target.add_callback(self._on_event)
-                    return
-                # Trampoline: the yielded event already fired (a queue
-                # get/put with capacity, a pre-satisfied dependency).
-                # The normal path draws a ticket, enqueues the wakeup,
-                # and the run loop pops it straight back off.  When
-                # nothing else is runnable at this instant that wakeup
-                # *is* the next callback the engine would execute, so
-                # drive the generator inline — provably the same global
-                # FIFO order, just without the round-trip.  Any pending
-                # immediate callback, or a timed entry at the current
-                # timestamp, holds an older ticket than our would-be
-                # wakeup and must run first, so defer in those cases.
-                # (``_TRAMPOLINE_CAP`` keeps poll-forever loops
-                # reachable by the engine's ``max_events`` guard.)
-                head = engine._timeq.head
-                if (engine._immediate_q
-                        or (head is not None and head[0] == engine.now)
-                        or steps >= _TRAMPOLINE_CAP):
-                    target.add_callback(self._on_event)
-                    return
-                steps += 1
-                # Each inlined wakeup is still one processed event: the
-                # count (and the edge recorder's ticket stream) must be
-                # indistinguishable from the round-trip path.
-                engine.events_processed += 1
-                edges = engine.edges
-                if edges is not None:
-                    ticket = next(engine._counter)
-                    edges.on_wakeup(ticket, target)
-                    edges.on_execute(ticket, engine.now)
-                exc = target._exception
-                try:
-                    if exc is not None:
-                        target = self.generator.throw(exc)
-                    else:
-                        target = self._send(target._value)
-                except StopIteration as stop:
-                    if not self._triggered:
-                        self.succeed(getattr(stop, "value", None))
-                    return
-                except BaseException as exc2:
-                    if not self._triggered:
-                        self.fail(exc2)
-                    return
-            elif isinstance(target, (int, float)):
-                if target < 0:
-                    self._resume(None, SimulationError(
-                        f"process {self.name!r} yielded negative delay "
-                        f"{target}"))
-                    return
-                engine.schedule(engine.now + target, self._start)
-                return
-            else:
-                self._resume(None, SimulationError(
-                    f"process {self.name!r} yielded unsupported {target!r}"))
-                return
-
-    def _wait_on(self, target: Any) -> None:
-        # Kept for API compatibility; the hot path inlines this logic
-        # at the end of :meth:`_resume`.
         if isinstance(target, Event):
             target.add_callback(self._on_event)
         elif isinstance(target, (int, float)):
@@ -260,7 +213,7 @@ class Engine:
     def __init__(self) -> None:
         self.now: float = 0
         #: timed entries ordered by (at, ticket); see module docstring
-        self._timeq = CalendarQueue()
+        self._timeq = HeapTimeQueue()
         #: same-timestamp callbacks: (ticket, callback, arg) in ticket
         #: order — the scheduling fast-path (see module docstring)
         self._immediate_q: deque = deque()
@@ -285,12 +238,6 @@ class Engine:
         #: event stream is bit-identical to ``None`` (conformance
         #: ``faults`` pillar).
         self.faults = None
-        #: optional :class:`~repro.sim.fastforward.FastForward`; when
-        #: attached, the run loop offers it every genuine time advance
-        #: and it may skip whole steady-state periods (provably
-        #: bit-identical — see the module docstring).  ``None`` (the
-        #: default) costs one attribute check per time advance.
-        self.fast_forward = None
         #: optional :class:`~repro.obs.critical.EdgeRecorder`; every
         #: ticket draw records its causal parent for critical-path
         #: extraction.  Recording never schedules anything and never
@@ -400,19 +347,23 @@ class Engine:
             max_events: int = 100_000_000) -> float:
         """Run until the queues drain or simulated time passes ``until``.
 
-        Returns the final simulation time.  ``max_events`` guards
-        against runaway simulations (e.g. a deadlocked polling loop):
-        at most ``max_events`` callbacks execute, and the guard raises
-        when an (``max_events`` + 1)-th is attempted.
+        Returns the final simulation time.  ``until`` may not lie in the
+        past: rewinding the clock would let later schedules fire before
+        time that was already simulated.  ``max_events`` guards against
+        runaway simulations (e.g. a deadlocked polling loop): at most
+        ``max_events`` callbacks execute, and the guard raises when an
+        (``max_events`` + 1)-th is attempted.
         """
+        now = self.now
+        if until is not None and until < now:
+            raise SimulationError(
+                f"cannot run until the past ({until} < {now})")
         timeq = self._timeq
         imm = self._immediate_q
         timeq_pop = timeq.pop
         popleft = imm.popleft
         processed = 0
-        now = self.now
         edges = self.edges
-        ff = self.fast_forward
         wall_start = perf_counter()
         try:
             while True:
@@ -421,18 +372,13 @@ class Engine:
                     # timed entry at the same time with an older ticket
                     # must still run first (global FIFO at equal
                     # timestamps).
-                    if (until is not None and now > until):
-                        self.now = until
-                        break
                     if processed >= max_events:
                         raise SimulationError(
                             f"exceeded {max_events} events; likely livelock")
                     head = timeq.head
                     if (head is not None and head[0] == now
                             and head[1] < imm[0][0]):
-                        entry = timeq_pop()
-                        ticket = entry[1]
-                        callback = entry[2]
+                        _, ticket, callback = timeq_pop()
                         arg = _NO_ARG
                     else:
                         ticket, callback, arg = popleft()
@@ -444,20 +390,11 @@ class Engine:
                     if until is not None and at > until:
                         self.now = until
                         break
-                    if ff is not None and at > now:
-                        skipped = ff.consider(self, at, until,
-                                              max_events, processed)
-                        if skipped:
-                            processed += skipped
-                            head = timeq.head
-                            at = head[0]
                     if processed >= max_events:
                         raise SimulationError(
                             f"exceeded {max_events} events; likely livelock")
-                    entry = timeq_pop()
+                    _, ticket, callback = timeq_pop()
                     self.now = now = at
-                    ticket = entry[1]
-                    callback = entry[2]
                     arg = _NO_ARG
                 if edges is not None:
                     edges.on_execute(ticket, now)

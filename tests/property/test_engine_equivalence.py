@@ -1,7 +1,8 @@
 """Fast-path engine vs straight-heap reference — semantic equivalence.
 
-The production :class:`~repro.sim.engine.Engine` routes same-timestamp
-callbacks through a FIFO deque instead of the time heap (the scheduling
+The production :class:`~repro.sim.engine.Engine` keeps timed entries in
+a :class:`~repro.sim.engine.HeapTimeQueue` and routes same-timestamp
+callbacks through a FIFO deque instead of that heap (the scheduling
 fast-path).  These tests execute randomly generated process programs on
 both the production engine and a reference engine that forces *every*
 callback through a single ``(time, ticket)`` heap — the textbook DES
@@ -12,8 +13,7 @@ simulation time, and the event count.
 
 from hypothesis import given, settings
 
-from repro.sim.calendar import HeapTimeQueue
-from repro.sim.engine import _NO_ARG, Engine, SimulationError
+from repro.sim.engine import _NO_ARG, Engine, HeapTimeQueue, SimulationError
 from tests import strategies as shared
 
 
@@ -51,15 +51,13 @@ class _HeapShunt:
 class StraightHeapEngine(Engine):
     """The reference kernel: one binary heap, ordered by (time, ticket).
 
-    Both the calendar-queue structure *and* the FIFO fast path are
-    stripped: timed entries go to a plain :class:`HeapTimeQueue`, and
-    every would-be immediate callback is shunted into it at the current
-    time — the textbook single-heap DES kernel.
+    The FIFO fast path is stripped: every would-be immediate callback
+    is shunted into the :class:`HeapTimeQueue` at the current time —
+    the textbook single-heap DES kernel.
     """
 
     def __init__(self):
         super().__init__()
-        self._timeq = HeapTimeQueue()
         self._immediate_q = _HeapShunt(self)
 
 

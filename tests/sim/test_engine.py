@@ -1,8 +1,13 @@
 """The discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Engine, SimulationError
+from repro.sim import Engine, HeapTimeQueue, SimulationError
+
+#: A delay far beyond anything a kernel schedules in one step.
+FAR = float(1 << 20)
 
 
 class TestScheduling:
@@ -39,6 +44,17 @@ class TestScheduling:
         assert engine.now == 5
         engine.run()
         assert hits == [1]
+
+    def test_run_until_the_past_is_rejected(self, engine):
+        engine.schedule(20, lambda: None)
+        engine.run(until=12)
+        with pytest.raises(SimulationError, match="past"):
+            engine.run(until=5)
+        # The clock never rewinds, so t=7 stays in the past.
+        assert engine.now == 12
+        with pytest.raises(SimulationError, match="past"):
+            engine.schedule(7, lambda: None)
+        assert engine.run(until=12) == 12
 
 
 class TestProcesses:
@@ -230,3 +246,134 @@ class TestMaxEventsBoundary:
         with pytest.raises(SimulationError, match="livelock"):
             engine.run(max_events=5)
         assert ran == [0, 1, 2, 3, 4]
+
+    def test_guard_bounds_polling_on_a_triggered_event(self, engine):
+        """Every wakeup of an already-triggered event is one counted
+        callback, so a poll-forever loop stops at the guard."""
+        done = engine.event("done")
+        done.succeed()
+        polls = []
+
+        def poller():
+            while True:
+                yield done
+                polls.append(engine.now)
+
+        engine.process(poller())
+        with pytest.raises(SimulationError, match="livelock"):
+            engine.run(max_events=100)
+        assert engine.events_processed == 100
+        # One callback starts the process; each later one is one poll.
+        assert len(polls) == 99
+
+
+class TestFarFuture:
+    """Engine edges with far-future entries and same-time storms."""
+
+    def test_zero_delay_self_reschedule_storm(self, engine):
+        """A process re-arming zero timeouts must interleave FIFO-fairly."""
+        order = []
+
+        def storm(pid, n):
+            for i in range(n):
+                yield engine.timeout(0)
+                order.append((engine.now, pid, i))
+
+        engine.process(storm("a", 50))
+        engine.process(storm("b", 50))
+        engine.run()
+        assert engine.now == 0
+        # Strict round-robin: both processes alternate at time zero.
+        assert order == [(0, pid, i) for i in range(50) for pid in ("a", "b")]
+
+    def test_far_future_timeouts_fire_in_order(self, engine):
+        delays = [0, 1, FAR - 1, FAR + 3, 2.5 * FAR, 10 * FAR]
+        fired = []
+        for d in delays:
+            engine.timeout(d).add_callback(
+                lambda ev, d=d: fired.append((engine.now, d)))
+        engine.run()
+        assert fired == [(d, d) for d in sorted(delays)]
+        assert engine.now == 10 * FAR
+
+    def test_max_events_boundary_with_far_future_entries(self, engine):
+        def ticker():
+            for _ in range(10):
+                yield 2 * FAR   # every resume costs one callback
+
+        engine.process(ticker())
+        with pytest.raises(SimulationError, match="livelock"):
+            engine.run(max_events=3)
+        # Exactly 3 callbacks ran (start, two resumes); the 4th was
+        # refused before the clock advanced to it.
+        assert engine.events_processed == 3
+        assert engine.now == 4 * FAR
+
+    def test_exactly_max_events_completes_with_far_future_entries(
+            self, engine):
+        fired = []
+        for i in range(3):
+            engine.timeout((i + 1) * 3 * FAR).add_callback(
+                lambda ev, i=i: fired.append(i))
+        # Each timeout costs two callbacks: the succeed, then the waiter.
+        engine.run(max_events=6)
+        assert fired == [0, 1, 2]
+
+
+def _drain(q):
+    out = []
+    while q.size:
+        head = q.head
+        entry = q.pop()
+        assert entry[:2] == head[:2]
+        assert q.head is None or q.head[:2] > entry[:2]
+        out.append(entry[:2])
+    assert q.head is None
+    return out
+
+
+class TestHeapTimeQueue:
+    """The time heap pops by ``(at, ticket)`` and keeps ``head`` current."""
+
+    @given(ats=st.lists(st.floats(min_value=0, max_value=1e9,
+                                  allow_nan=False, width=32), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_drains_in_at_ticket_order(self, ats):
+        q = HeapTimeQueue()
+        for ticket, at in enumerate(ats):
+            q.push(at, ticket, None)
+            assert q.head[:2] == min((a, t) for t, a in
+                                     enumerate(ats[:ticket + 1]))
+            assert q.size == ticket + 1
+        assert _drain(q) == sorted((at, t) for t, at in enumerate(ats))
+
+    @given(ats=st.lists(st.floats(min_value=0, max_value=1e9,
+                                  allow_nan=False, width=32),
+                        min_size=1, max_size=120),
+           pops=st.lists(st.integers(min_value=0, max_value=3),
+                         max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_push_pop_matches_sorted_reference(self, ats, pops):
+        q = HeapTimeQueue()
+        pending = []
+        it = iter(pops + [0] * len(ats))
+        for ticket, at in enumerate(ats):
+            q.push(at, ticket, None)
+            pending.append((at, ticket))
+            for _ in range(next(it)):
+                if not q.size:
+                    break
+                pending.sort()
+                assert q.pop()[:2] == pending.pop(0)
+                assert q.head is None or q.head[:2] == min(pending)
+        assert _drain(q) == sorted(pending)
+
+    def test_equal_time_ties_break_by_ticket(self):
+        q = HeapTimeQueue()
+        for ticket in (5, 1, 3):
+            q.push(3 * FAR, ticket, f"cb{ticket}")
+        assert [q.pop()[1] for _ in range(3)] == [1, 3, 5]
+
+    def test_pop_empty_raises(self):
+        with pytest.raises(IndexError):
+            HeapTimeQueue().pop()
