@@ -67,6 +67,15 @@ def _attr_key(attrs: Dict) -> tuple:
     return tuple(items)
 
 
+def _users_map(graph: Graph) -> Dict[str, List[Node]]:
+    """``Graph.users`` for every name at once, in one sweep."""
+    users: Dict[str, List[Node]] = {}
+    for node in graph:
+        for inp in dict.fromkeys(node.inputs):
+            users.setdefault(inp, []).append(node)
+    return users
+
+
 def _eliminate_common_subexpressions(graph: Graph,
                                      report: FusionReport) -> None:
     """Merge structurally identical pure operators.
@@ -74,9 +83,14 @@ def _eliminate_common_subexpressions(graph: Graph,
     Two nodes compute the same value when they run the same op over the
     same inputs with the same attributes; the duplicate is rewired to
     the first occurrence.  Sources (input/weight) are identity-keyed.
+    The graph is in SSA order, so one walk that renames each node's
+    inputs before keying it sees every earlier merge.
     """
     seen: Dict[tuple, str] = {}
-    for node in list(graph):
+    rename: Dict[str, str] = {}
+    for node in graph:
+        if rename:
+            node.inputs = [rename.get(i, i) for i in node.inputs]
         if node.op in ("input", "weight"):
             continue
         attr_key = _attr_key(node.attrs)
@@ -87,8 +101,9 @@ def _eliminate_common_subexpressions(graph: Graph,
         if original is None:
             seen[key] = node.name
         else:
-            graph.replace_uses(node.name, original)
+            rename[node.name] = original
             report.cse_merged += 1
+    graph.outputs = [rename.get(o, o) for o in graph.outputs]
 
 
 def _merge_embedding_bags(graph: Graph, max_tables: int,
@@ -100,11 +115,12 @@ def _merge_embedding_bags(graph: Graph, max_tables: int,
     the concat's operand order trivially by replacing the group's
     members with one TBE whose output is their concatenation.
     """
+    users_of = _users_map(graph)
     groups: Dict[tuple, List[Node]] = {}
-    for node in list(graph):
+    for node in graph:
         if node.op != "embedding_bag":
             continue
-        users = graph.users(node.name)
+        users = users_of.get(node.name, [])
         if len(users) != 1 or users[0].op != "concat":
             continue
         key = (node.attrs["batch"], node.attrs["pooling"],
@@ -113,6 +129,9 @@ def _merge_embedding_bags(graph: Graph, max_tables: int,
         groups.setdefault(key, []).append(node)
 
     tbe_index = 0
+    # concat name -> its TBEs in creation order, spliced in at the end
+    new_tbes: Dict[str, List[Node]] = {}
+    rename: Dict[str, str] = {}
     for key, members in groups.items():
         if len(members) < 2:
             continue
@@ -134,6 +153,11 @@ def _merge_embedding_bags(graph: Graph, max_tables: int,
         chunks = [run[start:start + max_tables]
                   for run in runs
                   for start in range(0, len(run), max_tables)]
+        # Splice: each chunk's first member becomes its TBE, the rest
+        # drop out of the concat operand list (the TBE output already
+        # contains their dims, in order).
+        group_rename: Dict[str, str] = {}
+        dropped = set()
         for chunk in chunks:
             if len(chunk) < 2:
                 continue
@@ -147,31 +171,44 @@ def _merge_embedding_bags(graph: Graph, max_tables: int,
                               "scale": chunk[0].attrs.get("scale", 1.0)})
             tbe_index += 1
             tbe.meta = infer_meta(graph, tbe)
-            graph.insert_before(concat_name, tbe)
-            # Splice: first member becomes the TBE, the rest drop out of
-            # the concat operand list (the TBE output already contains
-            # their dims, in order).
-            first = chunk[0].name
-            graph.replace_uses(first, tbe.name)
-            for eb in chunk[1:]:
-                concat.inputs = [i for i in concat.inputs if i != eb.name]
-            concat.meta = infer_meta(graph, concat)
+            new_tbes.setdefault(concat_name, []).append(tbe)
+            group_rename[chunk[0].name] = tbe.name
+            dropped.update(eb.name for eb in chunk[1:])
             report.eb_merged += len(chunk)
             report.tbe_created += 1
+        if group_rename:
+            concat.inputs = [group_rename.get(i, i) for i in concat.inputs
+                             if i not in dropped]
+            rename.update(group_rename)
+    for concat_name, tbes in new_tbes.items():
+        graph.insert_before(concat_name, *tbes)
+        concat = graph.node(concat_name)
+        concat.meta = infer_meta(graph, concat)
+    graph.outputs = [rename.get(o, o) for o in graph.outputs]
 
 
 def _fuse_epilogues(graph: Graph, report: FusionReport) -> None:
-    """Fold unary elementwise followers into FC/BMM producers."""
-    for node in list(graph):
+    """Fold unary elementwise followers into FC/BMM producers.
+
+    A producer fuses at most once, so until it does its consumers are
+    the ones counted before the walk; renames apply as the walk reaches
+    each node, since the graph is in SSA order.
+    """
+    users_of = _users_map(graph)
+    rename: Dict[str, str] = {}
+    for node in graph:
+        if rename:
+            node.inputs = [rename.get(i, i) for i in node.inputs]
         if node.op not in EPILOGUE_OPS:
             continue
         producer = graph.node(node.inputs[0])
         if producer.op not in ("fc", "batch_matmul"):
             continue
-        if len(graph.users(producer.name)) != 1:
+        if len(users_of[producer.name]) != 1:
             continue
         if "epilogue" in producer.attrs:
             continue
         producer.attrs["epilogue"] = node.op
-        graph.replace_uses(node.name, producer.name)
+        rename[node.name] = producer.name
         report.epilogues_fused += 1
+    graph.outputs = [rename.get(o, o) for o in graph.outputs]

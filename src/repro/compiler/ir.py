@@ -53,12 +53,29 @@ class Graph:
         self._order.append(node.name)
         return node
 
-    def insert_before(self, anchor: str, node: Node) -> Node:
-        """Add ``node`` immediately before ``anchor`` in execution order."""
-        self.add_node(node)
-        self._order.remove(node.name)
-        self._order.insert(self._order.index(anchor), node.name)
-        return node
+    def insert_before(self, anchor: str, *nodes: Node) -> None:
+        """Add ``nodes``, in order, immediately before ``anchor``.
+
+        Every check runs before any mutation, so a rejected insert
+        (unknown anchor, duplicate name, undefined input) leaves the
+        graph unchanged.
+        """
+        if anchor not in self._nodes:
+            raise ValueError(f"unknown anchor node {anchor!r}")
+        defined = set()
+        for node in nodes:
+            if node.name in self._nodes or node.name in defined:
+                raise ValueError(f"duplicate node name {node.name!r}")
+            for inp in node.inputs:
+                if inp not in self._nodes and inp not in defined:
+                    raise ValueError(
+                        f"node {node.name!r} references undefined input "
+                        f"{inp!r}")
+            defined.add(node.name)
+        for node in nodes:
+            self._nodes[node.name] = node
+        at = self._order.index(anchor)
+        self._order[at:at] = [node.name for node in nodes]
 
     def mark_output(self, name: str) -> None:
         if name not in self._nodes:
@@ -84,7 +101,12 @@ class Graph:
         return [n for n in self if n.op == op]
 
     def users(self, name: str) -> List[Node]:
-        """Nodes that consume ``name``."""
+        """Nodes that consume ``name``, each listed once.
+
+        O(N): one scan of the whole graph per call.  Meant for tests and
+        one-off queries; a pass that needs consumers of many nodes builds
+        its own map in one sweep instead of calling this in a loop.
+        """
         return [n for n in self if name in n.inputs]
 
     # -- mutation (used by passes) ------------------------------------------
@@ -111,7 +133,7 @@ class Graph:
         dead = [n for n in self._order if n not in live]
         for name in dead:
             del self._nodes[name]
-            self._order.remove(name)
+        self._order = [n for n in self._order if n in live]
         return len(dead)
 
     def copy(self, name: Optional[str] = None) -> "Graph":

@@ -57,29 +57,24 @@ def place_tensors(graph: Graph, sram_capacity: int,
     force-resident in SRAM (small hot tables).
     """
     result = PlacementResult()
+    order = list(graph)
     # Last use index of each tensor, for liveness.
     last_use: Dict[str, int] = {}
-    order = list(graph)
     for idx, node in enumerate(order):
         for inp in node.inputs:
             last_use[inp] = idx
-    for out in graph.outputs:
-        last_use[out] = len(order)
+    outputs = set(graph.outputs)
 
-    live_sram: Dict[str, int] = {}
+    # step -> sizes of the SRAM tensors that free before that step runs
+    expiry: Dict[int, List[int]] = {}
     used = 0
     for idx, node in enumerate(order):
-        # Expire dead SRAM tensors first.
-        for name in [n for n, last in list(last_use.items())
-                     if last <= idx and n in live_sram]:
-            used -= live_sram.pop(name)
+        used -= sum(expiry.pop(idx, ()))
         nbytes = node.meta.nbytes
         if node.op == "weight":
             if node.name in pin_weights and used + nbytes <= sram_capacity:
-                result.regions[node.name] = "sram"
-                live_sram[node.name] = nbytes
                 # Pinned weights stay resident for the whole graph.
-                last_use[node.name] = len(order)
+                result.regions[node.name] = "sram"
                 used += nbytes
             else:
                 result.regions[node.name] = "dram"
@@ -88,7 +83,7 @@ def place_tensors(graph: Graph, sram_capacity: int,
             result.regions[node.name] = "dram"
             continue
         # Graph outputs must land in DRAM for the host to read them.
-        if node.name in graph.outputs:
+        if node.name in outputs:
             result.regions[node.name] = "dram"
             continue
         # TBE/EmbeddingBag kernels write their pooled output to DRAM:
@@ -99,9 +94,12 @@ def place_tensors(graph: Graph, sram_capacity: int,
             continue
         if used + nbytes <= sram_capacity:
             result.regions[node.name] = "sram"
-            live_sram[node.name] = nbytes
             used += nbytes
             result.sram_peak_bytes = max(result.sram_peak_bytes, used)
+            # Free after the last reader; a tensor nobody reads frees
+            # after its own step.
+            step = max(last_use.get(node.name, idx), idx + 1)
+            expiry.setdefault(step, []).append(nbytes)
         else:
             result.regions[node.name] = "dram"
             result.spilled.append(node.name)

@@ -100,6 +100,44 @@ class TestMutation:
         assert order.index("pre") < order.index("act")
         assert order.index("pre") > order.index("fc")
 
+    def test_insert_before_unknown_anchor_leaves_graph_unchanged(
+            self, mlp_graph):
+        from repro.compiler.ops import infer_meta
+        node = Node(name="y", op="tanh", inputs=["fc"])
+        node.meta = infer_meta(mlp_graph, node)
+        before = [n.name for n in mlp_graph]
+        with pytest.raises(ValueError, match="anchor"):
+            mlp_graph.insert_before("ghost", node)
+        assert "y" not in mlp_graph
+        assert [n.name for n in mlp_graph] == before
+        assert len(mlp_graph) == len(before)
+
+    def test_insert_before_rejected_batch_leaves_graph_unchanged(
+            self, mlp_graph):
+        ok = Node(name="y", op="tanh", inputs=["fc"])
+        bad = Node(name="z", op="tanh", inputs=["ghost"])
+        with pytest.raises(ValueError, match="undefined input"):
+            mlp_graph.insert_before("act", ok, bad)
+        assert "y" not in mlp_graph
+        assert len(mlp_graph) == 4
+
+    def test_insert_before_several_nodes_keeps_their_order(self, mlp_graph):
+        from repro.compiler.ops import infer_meta
+        first = Node(name="p", op="tanh", inputs=["fc"])
+        first.meta = infer_meta(mlp_graph, first)
+        # relu keeps the shape; "p" is not in the graph yet to infer from
+        second = Node(name="q", op="relu", inputs=["p"], meta=first.meta)
+        mlp_graph.insert_before("act", first, second)
+        assert [n.name for n in mlp_graph] == ["x", "w", "fc", "p", "q",
+                                               "act"]
+        mlp_graph.validate()
+
+    def test_insert_before_duplicate_name_rejected(self, mlp_graph):
+        with pytest.raises(ValueError, match="duplicate"):
+            mlp_graph.insert_before("act", Node(name="fc", op="tanh",
+                                                inputs=["x"]))
+        assert len(mlp_graph) == 4
+
     def test_repr_lists_nodes(self, mlp_graph):
         text = repr(mlp_graph)
         assert "%fc = fc(x, w)" in text

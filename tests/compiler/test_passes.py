@@ -167,6 +167,31 @@ class TestPlacement:
         assert placement.region("b") == "sram"
         assert placement.sram_peak_bytes <= 1 << 20
 
+    def test_unread_tensor_frees_after_its_own_step(self):
+        """A tensor neither consumed nor a graph output holds no budget
+        past the step that produced it."""
+        b = GraphBuilder()
+        x = b.input((4, 4), name="x")
+        b.add("relu", (x.name,), name="dead")            # 64 B, never read
+        a = b.add("relu", (x.name,), name="a")
+        o = b.add("relu", (a.name,), name="o")
+        g = b.output(o.name)
+        placement = place_tensors(g, sram_capacity=1 << 20)
+        assert placement.region("dead") == "sram"
+        assert placement.region("a") == "sram"
+        assert placement.sram_peak_bytes == 64
+
+    def test_unread_tensor_does_not_force_a_spill(self):
+        b = GraphBuilder()
+        x = b.input((4, 4), name="x")
+        b.add("relu", (x.name,), name="dead")
+        a = b.add("relu", (x.name,), name="a")
+        o = b.add("relu", (a.name,), name="o")
+        g = b.output(o.name)
+        placement = place_tensors(g, sram_capacity=64)
+        assert placement.region("a") == "sram"
+        assert placement.spilled == []
+
     def test_eb_outputs_forced_to_dram(self):
         g = sparse_graph()
         placement = place_tensors(g, sram_capacity=1 << 20)
