@@ -30,7 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-__all__ = ["ExemplarRecord", "ExemplarStore", "priority_hash"]
+import numpy as np
+
+__all__ = ["ExemplarRecord", "ExemplarStore", "priority_hash",
+           "priority_hashes"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -48,6 +51,35 @@ def priority_hash(seed: int, replica: int, request_id: int) -> float:
     h = _splitmix64(_splitmix64(seed & _MASK64) ^ _splitmix64(
         ((replica & 0xFFFFFFFF) << 32) | (request_id & 0xFFFFFFFF)))
     return h / float(1 << 64)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a uint64 array (multiplies wrap mod 2^64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def priority_hashes(seed: int, replica: int, request_ids) -> np.ndarray:
+    """:func:`priority_hash` for every id in ``request_ids``, bit for bit."""
+    ids = np.asarray(request_ids, dtype=np.int64) & 0xFFFFFFFF
+    mixed = _splitmix64_array(
+        ids.astype(np.uint64) | np.uint64((replica & 0xFFFFFFFF) << 32))
+    h = _splitmix64_array(mixed ^ np.uint64(_splitmix64(seed & _MASK64)))
+    # uint64 -> float64 rounds to nearest, as Python's int -> float does
+    return h.astype(np.float64) / float(1 << 64)
+
+
+def _bottom_k(primary: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` entries of ``ids`` smallest by ``(primary, id)``."""
+    if k <= 0:
+        return ids[:0]
+    if primary.size > k:
+        # keep everything tied with the k-th value; lexsort settles ties
+        keep = primary <= np.partition(primary, k - 1)[k - 1]
+        primary, ids = primary[keep], ids[keep]
+    return ids[np.lexsort((ids, primary))[:k]]
 
 
 @dataclass(frozen=True)
@@ -98,6 +130,23 @@ class ExemplarStore:
         pkey = (priority_hash(self.seed, record.replica, record.request_id),
                 record.replica, record.request_id)
         self._insert(self._reservoir, pkey, record, self.reservoir_size)
+
+    def shortlist(self, replica: int, request_ids,
+                  latency_us) -> np.ndarray:
+        """Ids of one replica's requests that :meth:`offer` could retain.
+
+        The union of the ``slowest_k`` slowest and the
+        ``reservoir_size`` lowest-priority requests, each chosen by the
+        same key :meth:`offer` sorts on.  Offering only these leaves the
+        store exactly as offering every request would: the top k of
+        (store ∪ batch) is the top k of (store ∪ top k of batch).
+        """
+        ids = np.asarray(request_ids, dtype=np.int64)
+        latency = np.asarray(latency_us, dtype=float)
+        slowest = _bottom_k(-latency, ids, self.slowest_k)
+        sampled = _bottom_k(priority_hashes(self.seed, replica, ids), ids,
+                            self.reservoir_size)
+        return np.union1d(slowest, sampled)
 
     @staticmethod
     def _insert(store: List, key, record: ExemplarRecord,

@@ -74,10 +74,26 @@ class QuantileSketch:
         """Bucket key: smallest k with value <= gamma**k."""
         return math.ceil(math.log(value) / self._ln_gamma)
 
+    def _keys(self, magnitudes):
+        """Bucket keys of positive ``magnitudes``, each equal to :meth:`_key`.
+
+        ``np.log`` and ``math.log`` can differ in the last ulp, which
+        moves the ceiling only when the quotient sits next to an
+        integer; those quotients are recomputed with :meth:`_key`, so
+        bulk and scalar ingest always agree on every key.
+        """
+        import numpy as np
+        q = np.log(magnitudes) / self._ln_gamma
+        keys = np.ceil(q).astype(np.int64)
+        near = np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(1.0, np.abs(q))
+        for i in np.flatnonzero(near).tolist():
+            keys[i] = self._key(float(magnitudes[i]))
+        return keys
+
     def add(self, value: float) -> None:
         value = float(value)
-        if math.isnan(value):
-            raise ValueError("cannot sketch NaN")
+        if not math.isfinite(value):
+            raise ValueError(f"cannot sketch non-finite value {value}")
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -92,24 +108,28 @@ class QuantileSketch:
             self.zero_count += 1
 
     def add_many(self, values: Iterable[float]) -> None:
-        """Bulk :meth:`add` — one vectorised pass over ``values``."""
+        """Bulk :meth:`add`: the same state as adding each value in turn."""
         import numpy as np  # local: keep module import dependency-free
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size == 0:
             return
-        if np.isnan(arr).any():
-            raise ValueError("cannot sketch NaN")
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
+        if not np.isfinite(arr).all():
+            raise ValueError("cannot sketch non-finite values")
+        # argmin/argmax return the first extreme, which is the one a
+        # sequence of strict comparisons keeps (it matters for -0.0)
+        lo, hi = float(arr[arr.argmin()]), float(arr[arr.argmax()])
+        if lo < self._min:
+            self._min = lo
+        if hi > self._max:
+            self._max = hi
         self.zero_count += int(np.count_nonzero(arr == 0.0))
         for signed, store in ((arr[arr > 0.0], self.counts),
                               (-arr[arr < 0.0], self.neg_counts)):
             if signed.size == 0:
                 continue
-            keys = np.ceil(np.log(signed) / self._ln_gamma).astype(np.int64)
-            uniq, n = np.unique(keys, return_counts=True)
+            uniq, n = np.unique(self._keys(signed), return_counts=True)
             for key, count in zip(uniq.tolist(), n.tolist()):
-                store[key] = store.get(key, 0) + int(count)
+                store[key] = store.get(key, 0) + count
 
     # -- merging ---------------------------------------------------------
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":

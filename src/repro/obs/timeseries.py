@@ -53,14 +53,16 @@ class WindowStats:
         self.sketch = sketch
 
     def observe(self, value: float) -> None:
+        # the sketch goes first: it rejects non-finite values before
+        # any other field changes
+        if self.sketch is not None:
+            self.sketch.add(value)
         self.count += 1
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        if self.sketch is not None:
-            self.sketch.add(value)
 
     @property
     def mean(self) -> float:
@@ -110,26 +112,66 @@ class WindowedSeries:
 
     def record(self, t_us: float, value: float = 1.0) -> None:
         """Observe ``value`` at time ``t_us`` (defaults to a count)."""
-        self._window(int(t_us // self.window_us)).observe(float(value))
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError("cannot record NaN")
+        self._window(int(t_us // self.window_us)).observe(value)
 
     def record_many(self, ts_us: Iterable[float],
                     values: Optional[Iterable[float]] = None) -> None:
         """Bulk :meth:`record`; ``values=None`` counts occurrences.
 
-        Observations are ingested in the given order — bit-identical to
-        the equivalent sequence of :meth:`record` calls (float sums are
-        order-sensitive, so no internal reordering is allowed).
+        Bit-identical to the equivalent sequence of :meth:`record`
+        calls: each window's float ``total`` is summed in arrival order,
+        starting from its existing total, and min/max keep the first of
+        equal extremes, as strict comparisons do.  Invalid input raises
+        before any window changes.
         """
         import numpy as np
         ts = np.asarray(ts_us, dtype=float).ravel()
-        if ts.size == 0:
-            return
         vals = (np.ones_like(ts) if values is None
                 else np.asarray(values, dtype=float).ravel())
         if vals.shape != ts.shape:
             raise ValueError("ts_us and values must align")
-        for t, v in zip(ts.tolist(), vals.tolist()):
-            self.record(t, v)
+        if ts.size == 0:
+            return
+        if not np.isfinite(ts).all():
+            raise ValueError("timestamps must be finite")
+        index = np.floor_divide(ts, self.window_us)
+        if np.abs(index).max() >= 2.0 ** 63:
+            raise ValueError("timestamps overflow int64 window indices")
+        if np.isnan(vals).any():
+            raise ValueError("cannot record NaN")
+        if self.track_quantiles and not np.isfinite(vals).all():
+            raise ValueError("cannot sketch non-finite values")
+        # a stable sort groups samples by window, in arrival order
+        index = index.astype(np.int64)
+        order = np.argsort(index, kind="stable")
+        index, vals = index[order], vals[order]
+        cuts = np.flatnonzero(np.diff(index)) + 1
+        starts = np.concatenate(([0], cuts))
+        ends = np.concatenate((cuts, [index.size]))
+        windows = [self._window(i) for i in index[starts].tolist()]
+        # add.at accumulates element by element, in order; like Python
+        # float addition, it overflows to inf (or inf - inf to NaN)
+        # without a warning
+        totals = np.array([w.total for w in windows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(totals, np.repeat(np.arange(len(windows)),
+                                        ends - starts), vals)
+        for stats, total, lo, hi in zip(windows, totals.tolist(),
+                                        starts.tolist(), ends.tolist()):
+            seg = vals[lo:hi]
+            stats.count += hi - lo
+            stats.total = total
+            first_min = float(seg[seg.argmin()])
+            first_max = float(seg[seg.argmax()])
+            if first_min < stats.min:
+                stats.min = first_min
+            if first_max > stats.max:
+                stats.max = first_max
+            if stats.sketch is not None:
+                stats.sketch.add_many(seg)
 
     # -- structure -------------------------------------------------------
     def __len__(self) -> int:
@@ -246,12 +288,16 @@ class WindowedSeries:
     def from_dict(cls, data: Dict) -> "WindowedSeries":
         """Rebuild a series from :meth:`to_dict` output.
 
-        Per-window sketches are only restored when the dump was written
-        with ``include_sketch_state=True``.
+        Per-window sketches, and with them the series' relative
+        accuracy, are only restored when the dump was written with
+        ``include_sketch_state=True``.
         """
+        alpha = next((row["sketch"]["relative_accuracy"]
+                      for row in data["windows"] if "sketch" in row),
+                     DEFAULT_RELATIVE_ACCURACY)
         out = cls(data["window_us"],
                   track_quantiles=data.get("track_quantiles", False),
-                  name=data.get("name", ""))
+                  relative_accuracy=alpha, name=data.get("name", ""))
         for row in data["windows"]:
             stats = WindowStats(
                 QuantileSketch.from_dict(row["sketch"])

@@ -97,7 +97,9 @@ class ServingTelemetry:
         Latency-family signals cover *served* requests only, matching
         the report's own percentile convention (an aborted request has
         no meaningful latency); the request-rate series and status
-        counts cover every arrival.
+        counts cover every arrival.  Ingest is bulk, with no Python
+        work per request, and bit-identical to recording, sketching and
+        offering each request in turn.
         """
         out = cls(window_us=window_us, relative_accuracy=relative_accuracy,
                   slowest_k=slowest_k, reservoir_size=reservoir_size,
@@ -128,7 +130,8 @@ class ServingTelemetry:
 
         retry = report.retry_overhead_us
         status = report.status
-        for r in np.flatnonzero(mask).tolist():
+        served = np.flatnonzero(mask)
+        for r in out.exemplars.shortlist(replica, served, lat).tolist():
             b = int(report.batch_index[r])
             record = ExemplarRecord(
                 replica=int(replica), request_id=r,

@@ -93,6 +93,30 @@ class TestMergeInvariance:
         assert canonical(fwd) == canonical(rev)
 
 
+class TestShortlist:
+    @pytest.mark.parametrize("seed", [0, -3, 2 ** 63 + 1])
+    def test_offering_the_shortlist_equals_offering_everything(self, seed):
+        # three latency levels: hundreds of ties at every top-k boundary
+        rng = np.random.default_rng(2)
+        latency = rng.choice([100.0, 200.0, 300.0], size=2_000)
+        ids = rng.permutation(2_000) + 2 ** 32 - 1_000   # unsorted, wide
+        every = ExemplarStore(slowest_k=8, reservoir_size=16, seed=seed)
+        for i, lat in zip(ids.tolist(), latency.tolist()):
+            every.offer(make_record(i, lat, replica=5))
+        picked = ExemplarStore(slowest_k=8, reservoir_size=16, seed=seed)
+        order = {i: lat for i, lat in zip(ids.tolist(), latency.tolist())}
+        shortlist = picked.shortlist(5, ids, latency).tolist()
+        assert len(shortlist) <= 8 + 16
+        for i in shortlist:
+            picked.offer(make_record(i, order[i], replica=5))
+        assert canonical(picked) == canonical(every)
+
+    def test_empty_and_zero_capacity(self):
+        store = ExemplarStore(slowest_k=0, reservoir_size=0)
+        assert store.shortlist(0, [3, 1], [5.0, 6.0]).size == 0
+        assert ExemplarStore().shortlist(0, [], []).size == 0
+
+
 class TestExport:
     def test_roundtrip(self):
         store = ExemplarStore(slowest_k=3, reservoir_size=4, seed=5)

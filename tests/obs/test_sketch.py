@@ -49,6 +49,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             QuantileSketch().add_many([1.0, float("nan")])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_rejects_infinities(self, bad):
+        with pytest.raises(ValueError):
+            QuantileSketch().add(bad)
+        bulk = QuantileSketch()
+        with pytest.raises(ValueError):
+            bulk.add_many([1.0, bad])
+        assert bulk.count == 0
+
     def test_add_many_matches_add(self):
         rng = np.random.default_rng(0)
         values = rng.lognormal(3.0, 1.0, size=500)

@@ -49,6 +49,30 @@ class TestBucketing:
         with pytest.raises(ValueError):
             WindowedSeries().record_many([1.0, 2.0], [1.0])
 
+    def test_record_many_keeps_the_first_of_signed_zeros(self):
+        samples = [(1.0, 0.0), (2.0, -0.0), (3.0, 1.0),
+                   (11.0, -0.0), (12.0, 0.0), (13.0, -1.0)]
+        one = WindowedSeries(window_us=10.0)
+        for t, v in samples:
+            one.record(t, v)
+        bulk = WindowedSeries(window_us=10.0)
+        bulk.record_many(*zip(*samples))
+        assert json.dumps(bulk.to_dict()) == json.dumps(one.to_dict())
+        assert math.copysign(1.0, bulk.window(0).min) == 1.0
+        assert math.copysign(1.0, bulk.window(1).max) == -1.0
+
+    def test_record_many_rejects_bad_input_before_any_change(self):
+        s = WindowedSeries(window_us=10.0, track_quantiles=True)
+        for ts, vals in (([1.0, math.inf], None), ([1.0, math.nan], None),
+                         ([1.0, 1e300], None),
+                         ([1.0, 2.0], [1.0, math.nan]),
+                         ([1.0, 2.0], [1.0, math.inf])):
+            with pytest.raises(ValueError):
+                s.record_many(ts, vals)
+        assert len(s) == 0
+        with pytest.raises(ValueError):
+            WindowedSeries().record(1.0, math.nan)
+
 
 class TestMerge:
     def test_merge_window_by_window(self):
@@ -155,6 +179,18 @@ class TestQuantilesAndExport:
         clone = WindowedSeries.from_dict(
             s.to_dict(include_sketch_state=True))
         assert canonical(clone) == canonical(s)
+
+    def test_roundtrip_keeps_relative_accuracy(self):
+        s = WindowedSeries(window_us=100.0, track_quantiles=True,
+                           relative_accuracy=0.05)
+        s.record_many([10.0, 150.0], [3.0, 4.0])
+        clone = WindowedSeries.from_dict(
+            s.to_dict(include_sketch_state=True))
+        assert clone.relative_accuracy == 0.05
+        clone.record(950.0, 5.0)      # a new window gets an α=0.05 sketch
+        assert clone.window(9).sketch.relative_accuracy == 0.05
+        clone.merge(s)                # raised on mismatched α before
+        assert clone.count == 5
 
     def test_to_dict_windows_in_time_order(self):
         s = WindowedSeries(window_us=10.0)

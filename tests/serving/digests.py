@@ -1,10 +1,12 @@
-"""Canonical digests of fault-free serving reports.
+"""Canonical digests of serving reports and their telemetry.
 
-The golden values in ``test_resilience.py`` were computed with these
-functions from the plain batching simulator that predates the merged
-serving engine, so the fault-free semantics (batch boundaries, phase
-attribution, every float) stay pinned bit for bit.  Only fields that
-simulator reported are digested.
+The golden values in ``test_resilience.py`` were computed with the
+report digests from the plain batching simulator that predates the
+merged serving engine, so the fault-free semantics (batch boundaries,
+phase attribution, every float) stay pinned bit for bit.  Only fields
+that simulator reported are digested.  The telemetry golden in
+``test_telemetry_differential.py`` was computed with
+:func:`telemetry_digest` from per-request telemetry ingest.
 """
 
 import hashlib
@@ -35,3 +37,21 @@ def batches_digest(report) -> str:
     """SHA-256 over the batch records (``BatchRecord.to_dict`` rows)."""
     rows = [b.to_dict() for b in report.batches]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def telemetry_state(telemetry) -> str:
+    """Canonical JSON of everything a ``ServingTelemetry`` keeps.
+
+    The full dump with sketch key maps and exemplars, plus every series
+    at full resolution with its per-window sketch state.
+    """
+    from repro.serving.telemetry import SERIES_NAMES
+    series = {name: telemetry.series[name].to_dict(include_sketch_state=True)
+              for name in SERIES_NAMES}
+    return json.dumps({"telemetry": telemetry.to_dict(include_state=True),
+                       "series": series})
+
+
+def telemetry_digest(telemetry) -> str:
+    """SHA-256 over :func:`telemetry_state`."""
+    return hashlib.sha256(telemetry_state(telemetry).encode()).hexdigest()
