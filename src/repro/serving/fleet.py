@@ -58,14 +58,14 @@ import numpy as np
 from repro.serving.resilience import (ResilienceConfig,
                                       simulate_serving_resilient)
 from repro.serving.simulator import (STATUS_NAMES, STATUS_SERVED,
-                                     BatchingConfig, ServingReport)
+                                     BatchingConfig, ServingReport,
+                                     check_arrivals)
 from repro.serving.traffic import TrafficTrace
 
 __all__ = [
     "ROUTING_POLICIES", "TabularLatencyModel", "ShardedLatencyModel",
     "sharded_latency_table", "ReplicaSpec", "RouterConfig", "FleetConfig",
-    "AutoscaleConfig", "RoutingDecision", "route_requests",
-    "route_requests_vectorised",
+    "AutoscaleConfig", "RoutingDecision", "route_requests_vectorised",
     "ObservedLatencyFeed", "FleetReport", "simulate_fleet", "EpochRecord",
     "FleetAutoscaleReport", "simulate_fleet_autoscaled", "uniform_fleet",
 ]
@@ -360,10 +360,6 @@ class RoutingDecision:
     hedged: np.ndarray
     #: pre-drawn (n, 2) sample pairs for power-of-two/hedge, else None
     probes: Optional[np.ndarray] = None
-    #: router-visible backlog of each probe at decision time
-    probe_backlogs: Optional[np.ndarray] = None
-    #: backlog of the chosen replica at decision time
-    chosen_backlog: Optional[np.ndarray] = None
 
     @property
     def num_hedged(self) -> int:
@@ -395,10 +391,9 @@ def _draw_probes(router: RouterConfig, n: int,
     return probes
 
 
-def route_requests(arrivals: np.ndarray, router: RouterConfig,
-                   specs: Sequence[ReplicaSpec],
-                   service_us: np.ndarray,
-                   record_probes: bool = False) -> RoutingDecision:
+def route_requests_vectorised(arrivals: np.ndarray, router: RouterConfig,
+                              specs: Sequence[ReplicaSpec],
+                              service_us: np.ndarray) -> RoutingDecision:
     """Assign every arrival to a replica under one routing policy.
 
     The router tracks an *estimated* backlog per replica (device-time
@@ -413,137 +408,37 @@ def route_requests(arrivals: np.ndarray, router: RouterConfig,
     Backlog is *charge-time anchored*: each replica keeps its backlog
     as of the last time it was charged, and an arrival at ``t``
     observes ``max(backlog - (t - charged_at) * drain, 0)`` in one
-    expression.  That makes the observation a pure function of the
-    replica's last charge — the property
-    :func:`route_requests_vectorised` exploits — instead of a running
-    per-arrival decay chain whose float rounding depends on every
-    intervening arrival.
-
-    This is the *reference* implementation: a plain per-arrival loop
-    kept deliberately simple so the fast router can be differential-
-    tested against it (``tests/serving/test_fleet_vectorised.py``
-    asserts bit-identical decisions on every policy).
-    """
-    n = int(arrivals.size)
-    num = len(specs)
-    assigned = np.zeros(n, dtype=np.int64)
-    hedged = np.full(n, -1, dtype=np.int64)
-    backlog = np.zeros(num)
-    charged_at = np.full(num, float(arrivals[0]) if n else 0.0)
-    drain = np.array([float(s.num_cards) for s in specs])
-    policy = router.policy
-
-    probes = _draw_probes(router, n, num)
-    probe_backlogs = (np.zeros((n, 2)) if record_probes and probes is not None
-                      else None)
-    chosen_backlog = np.zeros(n) if record_probes else None
-
-    def observe(r: int, t: float) -> float:
-        value = backlog[r] - (t - charged_at[r]) * drain[r]
-        return value if value > 0.0 else 0.0
-
-    rr = 0
-    for i in range(n):
-        t = float(arrivals[i])
-        if policy == "round_robin":
-            r = rr
-            rr = rr + 1 if rr + 1 < num else 0
-            obs_r = observe(r, t)
-        elif policy == "least_loaded":
-            obs = np.maximum(backlog - (t - charged_at) * drain, 0.0)
-            r = int(np.argmin(obs))          # ties -> lowest index
-            obs_r = float(obs[r])
-        else:
-            a, b = int(probes[i, 0]), int(probes[i, 1])
-            obs_a = observe(a, t)
-            obs_b = observe(b, t)
-            if probe_backlogs is not None:
-                probe_backlogs[i, 0] = obs_a
-                probe_backlogs[i, 1] = obs_b
-            if obs_a < obs_b or (obs_a == obs_b and a <= b):
-                r, obs_r = a, obs_a
-            else:
-                r, obs_r = b, obs_b
-            if (policy == "hedge" and num > 1
-                    and obs_r > router.hedge_backlog_us):
-                other = b if r == a else a
-                if other != r:
-                    hedged[i] = other
-                    obs_other = obs_b if other == b else obs_a
-                    backlog[other] = obs_other + service_us[other]
-                    charged_at[other] = t
-        if chosen_backlog is not None:
-            chosen_backlog[i] = obs_r
-        assigned[i] = r
-        backlog[r] = obs_r + service_us[r]
-        charged_at[r] = t
-    return RoutingDecision(assigned=assigned, hedged=hedged, probes=probes,
-                           probe_backlogs=probe_backlogs,
-                           chosen_backlog=chosen_backlog)
-
-
-def route_requests_vectorised(arrivals: np.ndarray, router: RouterConfig,
-                              specs: Sequence[ReplicaSpec],
-                              service_us: np.ndarray,
-                              record_probes: bool = False
-                              ) -> RoutingDecision:
-    """:func:`route_requests`, restructured for throughput.
-
-    Bit-identical to the reference router — same anchored-backlog
-    arithmetic, same tie-breaks, same pre-drawn probes — but shaped per
-    policy instead of one generic loop:
+    expression, so an observation depends only on the replica's last
+    charge.  Each policy is shaped for throughput on that state:
 
     * ``round_robin`` ignores backlog entirely, so the assignment
-      vector is one numpy expression (``arange(n) % num``); the
-      anchored backlog is only replayed (per replica, not per arrival)
-      when ``record_probes`` asks for it;
+      vector is one numpy expression (``arange(n) % num``);
     * ``power_of_two`` / ``hedge`` observe exactly two replicas per
-      arrival, so each decision is O(1) python-float work against the
-      anchored ``(backlog, charged_at)`` state — no per-arrival
-      full-fleet numpy decay;
+      arrival, so each decision is O(1) python-float work;
     * ``least_loaded`` must scan every replica per arrival (argmin is
-      inherently sequential against its own charges), but on the
-      anchored state with python floats, which beats the former
-      whole-array ``np.maximum`` chain for fleet-sized replica counts.
+      inherently sequential against its own charges), on python floats.
 
-    The differential test runs every policy (with hedging and fault
-    plans downstream) through both routers and asserts the decisions —
-    and the final fleet JSON — are byte-identical.
+    Ties go to the lower replica index.  The plain per-arrival loop
+    this replaced is the executable specification, kept in
+    ``tests/serving/reference_router.py``; the differential tests
+    assert bit-identical decisions against it on every policy, with
+    hedging, tied arrivals and traces of 0 and 1 requests.
     """
     n = int(arrivals.size)
     num = len(specs)
     policy = router.policy
     hedged = np.full(n, -1, dtype=np.int64)
     probes = _draw_probes(router, n, num)
-    probe_backlogs = (np.zeros((n, 2)) if record_probes and probes is not None
-                      else None)
-    chosen_backlog = np.zeros(n) if record_probes else None
+
+    if policy == "round_robin":
+        assigned = np.arange(n, dtype=np.int64) % num
+        return RoutingDecision(assigned=assigned, hedged=hedged,
+                               probes=probes)
 
     times = np.asarray(arrivals, dtype=float)
     t0 = float(times[0]) if n else 0.0
     drain = [float(s.num_cards) for s in specs]
     service = [float(v) for v in service_us]
-
-    if policy == "round_robin":
-        assigned = np.arange(n, dtype=np.int64) % num
-        if chosen_backlog is not None:
-            # Backlog never steers round-robin; replay it per replica
-            # (each replica's state only changes at its own arrivals).
-            for r in range(num):
-                ts = times[r::num].tolist()
-                b, last, d, s = 0.0, t0, drain[r], service[r]
-                for j, t in enumerate(ts):
-                    obs = b - (t - last) * d
-                    if obs < 0.0:
-                        obs = 0.0
-                    chosen_backlog[r + j * num] = obs
-                    b = obs + s
-                    last = t
-        return RoutingDecision(assigned=assigned, hedged=hedged,
-                               probes=probes,
-                               probe_backlogs=probe_backlogs,
-                               chosen_backlog=chosen_backlog)
-
     assigned = np.zeros(n, dtype=np.int64)
     assigned_l = [0] * n
     hedged_l = None
@@ -561,16 +456,12 @@ def route_requests_vectorised(arrivals: np.ndarray, router: RouterConfig,
                     obs = 0.0
                 if first or obs < obs_r:    # strict: ties keep lowest
                     r, obs_r, first = k, obs, False
-            if chosen_backlog is not None:
-                chosen_backlog[i] = obs_r
             assigned_l[i] = r
             backlog[r] = obs_r + service[r]
             charged_at[r] = t
         assigned[:] = assigned_l
         return RoutingDecision(assigned=assigned, hedged=hedged,
-                               probes=probes,
-                               probe_backlogs=probe_backlogs,
-                               chosen_backlog=chosen_backlog)
+                               probes=probes)
 
     # power_of_two / hedge: O(1) per arrival against the two probes
     pa = probes[:, 0].tolist()
@@ -588,9 +479,6 @@ def route_requests_vectorised(arrivals: np.ndarray, router: RouterConfig,
         obs_b = backlog[b] - (t - charged_at[b]) * drain[b]
         if obs_b < 0.0:
             obs_b = 0.0
-        if probe_backlogs is not None:
-            probe_backlogs[i, 0] = obs_a
-            probe_backlogs[i, 1] = obs_b
         if obs_a < obs_b or (obs_a == obs_b and a <= b):
             r, obs_r = a, obs_a
         else:
@@ -602,17 +490,13 @@ def route_requests_vectorised(arrivals: np.ndarray, router: RouterConfig,
                 obs_other = obs_b if other == b else obs_a
                 backlog[other] = obs_other + service[other]
                 charged_at[other] = t
-        if chosen_backlog is not None:
-            chosen_backlog[i] = obs_r
         assigned_l[i] = r
         backlog[r] = obs_r + service[r]
         charged_at[r] = t
     assigned[:] = assigned_l
     if hedged_l is not None:
         hedged[:] = hedged_l
-    return RoutingDecision(assigned=assigned, hedged=hedged, probes=probes,
-                           probe_backlogs=probe_backlogs,
-                           chosen_backlog=chosen_backlog)
+    return RoutingDecision(assigned=assigned, hedged=hedged, probes=probes)
 
 
 # ---------------------------------------------------------------------------
@@ -975,12 +859,10 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
     if isinstance(traffic, TrafficTrace):
         arrivals = traffic.arrivals(config.seed if seed is None else seed)
     else:
-        arrivals = np.asarray(traffic, dtype=float)
+        arrivals = check_arrivals(traffic)
     n = int(arrivals.size)
     if n == 0:
         raise ValueError("the traffic trace produced no arrivals")
-    if np.any(np.diff(arrivals) < 0):
-        raise ValueError("arrivals must be sorted")
 
     router = config.router
     service_us = _service_estimates(specs, models, config.batching)
@@ -1178,7 +1060,7 @@ def simulate_fleet_autoscaled(latency_model, traffic,
     if isinstance(traffic, TrafficTrace):
         arrivals = traffic.arrivals(config.seed)
     else:
-        arrivals = np.asarray(traffic, dtype=float)
+        arrivals = check_arrivals(traffic)
     if arrivals.size == 0:
         raise ValueError("the traffic trace produced no arrivals")
 

@@ -51,6 +51,23 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 
+def check_arrivals(arrivals) -> np.ndarray:
+    """``arrivals`` as a float array of valid arrival times (us).
+
+    Raises ``ValueError`` unless every time is finite and non-negative
+    and the times are sorted (ties allowed).  Every entry point that
+    accepts explicit arrivals calls this before doing any work.
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    if not np.all(np.isfinite(arrivals)):
+        raise ValueError("arrival times must be finite")
+    if arrivals.size > 1 and np.any(np.diff(arrivals) < 0):
+        raise ValueError("arrival times must be non-decreasing")
+    if arrivals.size and arrivals[0] < 0:     # sorted: [0] is the min
+        raise ValueError("arrival times must be non-negative")
+    return arrivals
+
+
 def resolve_arrivals(qps: float, num_requests: int, seed: int,
                      arrivals=None):
     """The arrival stream of one serving run: drawn or injected.
@@ -65,14 +82,12 @@ def resolve_arrivals(qps: float, num_requests: int, seed: int,
     arrivals (an empty replica simply offers 0).
     """
     if arrivals is None:
-        if qps <= 0:
+        if not qps > 0:                     # also rejects NaN
             raise ValueError("qps must be positive")
         rng = np.random.default_rng(seed)
         inter_us = rng.exponential(1e6 / qps, size=num_requests)
         return np.cumsum(inter_us), qps
-    arrivals = np.asarray(arrivals, dtype=float)
-    if arrivals.size > 1 and np.any(np.diff(arrivals) < 0):
-        raise ValueError("injected arrivals must be non-decreasing")
+    arrivals = check_arrivals(arrivals)
     if qps <= 0:
         span_us = (float(arrivals[-1] - arrivals[0])
                    if arrivals.size > 1 else 0.0)

@@ -181,25 +181,8 @@ def autotune_report_schema() -> dict:
     }
 
 
-def bench_autotuned_schema() -> dict:
-    """Key-set schema of a bench row carrying ``--autotuned`` extras."""
-    from repro.bench import METRICS, _bench_fc
-    row = _bench_fc(autotuned=True)
-    return {
-        "row": sorted(row),
-        "metrics": sorted(METRICS),
-        "extras": sorted(row["extras"]),
-        "autotuned_extras": sorted(k for k in row["extras"]
-                                   if k.startswith("autotuned_")),
-    }
-
-
 def test_autotune_report_schema_is_stable():
     _check("autotune_report_schema.json", autotune_report_schema())
-
-
-def test_bench_autotuned_row_schema_is_stable():
-    _check("bench_autotuned_row_schema.json", bench_autotuned_schema())
 
 
 def test_profile_json_schema_is_stable():

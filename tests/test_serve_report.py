@@ -1,4 +1,4 @@
-"""The python -m repro.serve_report and python -m repro.bench CLIs."""
+"""The python -m repro.serve_report CLI."""
 
 import json
 
@@ -132,61 +132,3 @@ class TestServeReport:
                      "-o", str(trace)]) == 0
         assert json.loads(trace.read_text())["traceEvents"]
 
-
-class TestBench:
-    def test_run_bench_schema(self):
-        from repro.bench import run_bench
-        payload = run_bench(workloads=["dlrm"])
-        assert payload["schema_version"] == 1
-        result = payload["workloads"]["dlrm"]
-        assert set(result) == {"latency_us", "achieved_tflops",
-                               "sim_cycles", "wall_time_s", "extras"}
-        assert result["latency_us"] > 0
-        assert result["achieved_tflops"] > 0
-
-    def test_unknown_workload_rejected(self):
-        from repro.bench import run_bench
-        with pytest.raises(SystemExit):
-            run_bench(workloads=["nope"])
-
-    def test_compare_flags_regressions(self):
-        from repro.bench import compare
-        base = {"workloads": {"fc": {"latency_us": 100.0,
-                                     "achieved_tflops": 10.0,
-                                     "sim_cycles": 1000.0,
-                                     "wall_time_s": 1.0}}}
-        same = compare(base, base)
-        assert same == []
-        worse = {"workloads": {"fc": {"latency_us": 150.0,
-                                      "achieved_tflops": 8.0,
-                                      "sim_cycles": 1000.0,
-                                      "wall_time_s": 99.0}}}
-        lines = compare(worse, base, threshold=0.10)
-        assert any("latency_us grew" in l for l in lines)
-        assert any("achieved_tflops dropped" in l for l in lines)
-        assert not any("wall_time" in l for l in lines)
-
-    def test_compare_tolerates_missing_baseline_workload(self):
-        from repro.bench import compare
-        current = {"workloads": {"new": {"latency_us": 5.0}}}
-        assert compare(current, {"workloads": {}}) == []
-
-    def test_cli_writes_bench_file(self, tmp_path, capsys):
-        from repro.bench import main as bench_main
-        assert bench_main(["dlrm", "--label", "test",
-                           "-o", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "BENCH_test.json").read_text())
-        assert payload["label"] == "test"
-        assert "dlrm" in payload["workloads"]
-
-    def test_cli_strict_compare_fails_on_regression(self, tmp_path):
-        from repro.bench import main as bench_main
-        baseline = tmp_path / "BENCH_base.json"
-        baseline.write_text(json.dumps(
-            {"workloads": {"dlrm": {"latency_us": 1e-6,
-                                    "achieved_tflops": 1e9,
-                                    "sim_cycles": 0.0}}}))
-        assert bench_main(["dlrm", "--label", "t2", "-o", str(tmp_path),
-                           "--compare", str(baseline), "--strict"]) == 1
-        assert bench_main(["dlrm", "--label", "t3", "-o", str(tmp_path),
-                           "--compare", str(baseline)]) == 0
