@@ -10,10 +10,10 @@ Two invariants every future perf PR must preserve:
   (``Accelerator(observe=True, trace=True)``) must not change a single
   cycle or output bit (the PR-1 observability contract: telemetry
   observes the machine, it never steers it).  The same contract covers
-  the request-level :class:`~repro.obs.spans.SpanTracer`: attaching an
-  enabled tracer to the serving simulator or the graph executor must
-  leave latencies, modelled seconds, and outputs bit-identical, and a
-  *disabled* tracer must record nothing at all.
+  a :class:`~repro.sim.trace.Tracer` attached to the graph executor
+  (modelled seconds and outputs stay bit-identical) and a metric
+  registry attached to the serving simulator (latencies stay
+  bit-identical).
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def check_graph_determinism(seed: int,
     (the hooks-are-no-ops contract, extended to spans).
     """
     from repro.conformance.fuzzer import fuzz_graph
-    from repro.obs.spans import SpanTracer
     from repro.runtime.executor import GraphExecutor
+    from repro.sim.trace import Tracer
 
     case = fuzz_graph(seed, fuzz_config)
 
@@ -271,7 +271,7 @@ def check_graph_determinism(seed: int,
                 res.violations.append(f"output {name!r} differs between "
                                       "replays")
 
-    spans = SpanTracer(enabled=True)
+    spans = Tracer(enabled=True)
     out_s, report_s = once(spans=spans)
     if report_s.seconds != report_a.seconds:
         res.violations.append(
@@ -400,15 +400,13 @@ def check_fault_injection_noop(seed: int) -> DeterminismResult:
 
 
 def check_serving_determinism(seed: int) -> DeterminismResult:
-    """Replay one serving simulation; spans/metrics must be no-ops.
+    """Replay one serving simulation; metrics must be a no-op.
 
-    Three invariants: (a) the same seed replays bit-identically, (b)
-    attaching an enabled SpanTracer + registry leaves every latency and
-    phase attribution bit-identical, (c) a *disabled* SpanTracer
-    records nothing.
+    Two invariants: (a) the same seed replays bit-identically, (b)
+    attaching a metric registry leaves every latency and phase
+    attribution bit-identical.
     """
     from repro.obs.metrics import MetricRegistry
-    from repro.obs.spans import SpanTracer
     from repro.serving.simulator import BatchingConfig, simulate_serving
 
     rng = np.random.default_rng(seed)
@@ -421,10 +419,10 @@ def check_serving_determinism(seed: int) -> DeterminismResult:
     def latency_model(batch: int) -> float:
         return base + slope * batch
 
-    def once(spans=None, registry=None):
+    def once(registry=None):
         return simulate_serving(latency_model, qps, batching,
                                 num_requests=400, seed=seed,
-                                registry=registry, spans=spans)
+                                registry=registry)
 
     res = DeterminismResult(seed=seed, kind="serving")
     plain_a = once()
@@ -433,21 +431,13 @@ def check_serving_determinism(seed: int) -> DeterminismResult:
     if not np.array_equal(plain_a.latencies_us, plain_b.latencies_us):
         res.violations.append("serving replay latencies differ")
 
-    disabled = SpanTracer(enabled=False)
-    observed = once(spans=SpanTracer(enabled=True),
-                    registry=MetricRegistry())
+    observed = once(registry=MetricRegistry())
     for field_name in ("latencies_us", "queue_wait_us", "batch_wait_us",
                        "execute_us"):
         if not np.array_equal(getattr(observed, field_name),
                               getattr(plain_a, field_name)):
             res.violations.append(
-                f"enabling spans/metrics changed {field_name}")
-    off = once(spans=disabled)
-    if disabled.spans:
-        res.violations.append(
-            f"disabled span tracer recorded {len(disabled.spans)} spans")
-    if not np.array_equal(off.latencies_us, plain_a.latencies_us):
-        res.violations.append("disabled span tracer changed latencies")
+                f"enabling metrics changed {field_name}")
     return res
 
 

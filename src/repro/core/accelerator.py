@@ -174,7 +174,7 @@ class Accelerator:
 
     def save_trace(self, path: str) -> None:
         """Export the execution trace as Chrome trace-event JSON."""
-        self.engine.tracer.save(path, self.config.frequency_ghz)
+        self.engine.tracer.save(path, self.config.frequency_ghz * 1e3)
 
     def collect_stats(self) -> Dict[str, float]:
         """Chip-wide statistics rollup."""

@@ -188,30 +188,27 @@ def build_critical_chrome_trace(acc: Accelerator,
     each segment also points into the first hardware span that starts
     inside it — the activity its critical time is attributed to.
     """
-    from repro.obs.spans import SpanTracer, merge_chrome_traces
+    from repro.sim.trace import Tracer, merge_chrome_traces
 
-    to_us = 1.0 / (acc.config.frequency_ghz * 1e3)
-    spans = SpanTracer(enabled=True)
-    hw_spans = sorted(enumerate(acc.tracer.spans),
-                      key=lambda pair: (pair[1].start, pair[0]))
+    spans = Tracer(enabled=True)
+    hw_spans = sorted(acc.tracer.spans, key=lambda span: span.start)
     recorded = []
     for seg in path.condensed():
-        span = spans.add("critical.path", f"{seg.resource}:{seg.label}",
-                         seg.start * to_us, seg.end * to_us,
-                         pid="critical", resource=seg.resource,
-                         kind=seg.kind, cycles=seg.duration)
+        span = spans.record("critical.path", f"{seg.resource}:{seg.label}",
+                            seg.start, seg.end, pid="critical",
+                            resource=seg.resource, kind=seg.kind,
+                            cycles=seg.duration)
         recorded.append((seg, span))
     for (_, src), (_, dst) in zip(recorded, recorded[1:]):
         spans.link(src, dst)
     for seg, span in recorded:
-        for index, hw in hw_spans:
+        for hw in hw_spans:
             if seg.start <= hw.start < seg.end:
-                fid = spans.link(span)
-                acc.tracer.mark_flow_in(fid, index=index)
+                spans.link(span, hw)
                 break
-    return merge_chrome_traces(
-        acc.tracer.to_chrome_trace(acc.config.frequency_ghz),
-        spans.to_chrome_trace())
+    units_per_us = acc.config.frequency_ghz * 1e3
+    return merge_chrome_traces(acc.tracer.to_chrome_trace(units_per_us),
+                               spans.to_chrome_trace(units_per_us))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,6 @@ Three layers, all opt-in and free when disabled:
 - :mod:`repro.obs.profiler` — wraps one simulated run and emits a
   bottleneck report: per-track compute/memory/stall split, achieved vs
   roofline bandwidth, top-N slowest tracks.
-- :mod:`repro.obs.spans` — hierarchical request-level span tracer with
-  context propagation and Chrome-trace flow events, linking serving
-  requests down to cycle-level unit activity on one merged timeline.
 - :mod:`repro.obs.sketch` — mergeable relative-error quantile sketches
   (bounded memory, order-invariant merges, deterministic bytes).
 - :mod:`repro.obs.timeseries` — fixed-size windowed series for rates,
@@ -62,7 +59,6 @@ from repro.obs.whatif import (RESOURCE_SCALINGS, WhatIfProjection,
                               project_whatif, scaled_chip_config)
 from repro.obs.exemplars import ExemplarRecord, ExemplarStore
 from repro.obs.sketch import QuantileSketch
-from repro.obs.spans import ObsSpan, SpanTracer, merge_chrome_traces
 from repro.obs.timeseries import WindowedSeries, WindowStats
 
 __all__ = [
@@ -84,15 +80,12 @@ __all__ = [
     "slowest_critical_paths",
     "ExemplarRecord",
     "ExemplarStore",
-    "ObsSpan",
     "QuantileSketch",
-    "SpanTracer",
     "WindowStats",
     "WindowedSeries",
     "burn_anomalies",
     "cusum_changepoints",
     "detect_series",
-    "merge_chrome_traces",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",

@@ -1,7 +1,7 @@
 """Tail-biased exemplar sampling: full detail for the requests that matter.
 
-PR 3's span tracer keeps a full waterfall for *every* request — exact,
-but O(traffic) memory.  At fleet scale only two cohorts justify full
+Drawing a waterfall for *every* request is exact but O(traffic)
+memory.  At fleet scale only two cohorts justify full
 span trees:
 
 * the **slowest k** requests — always retained, exactly (these are the

@@ -62,7 +62,7 @@ class GraphExecutor:
         #: optional repro.obs MetricRegistry; per-op timing spans land
         #: here (falls back to the opt-in process default registry)
         self.registry = registry
-        #: optional repro.obs.spans.SpanTracer; each run() records a
+        #: optional repro.sim.trace.Tracer (us); each run() records a
         #: graph_execute span with per-op children, attached under
         #: whatever span is currently open (a serving batch span, say)
         self.spans = spans
@@ -195,7 +195,7 @@ class GraphExecutor:
         if self.spans is None or not self.spans.enabled:
             return
         parent = self.spans.current
-        base = parent.start_us if parent is not None else 0.0
+        base = parent.start if parent is not None else 0.0
         record_graph_spans(self.spans, estimate, base_us=base,
                            pid=parent.pid if parent is not None else "")
 
@@ -220,7 +220,7 @@ def record_graph_spans(spans, estimate, base_us: float = 0.0,
         t = base_us
         for op in estimate.estimates:
             op_us = op.seconds * 1e6
-            spans.add("executor.ops", op.name, t, t + op_us, pid=pid,
+            spans.record("executor.ops", op.name, t, t + op_us, pid=pid,
                       category=op.category, bound=op.bound)
             t += op_us
     return root

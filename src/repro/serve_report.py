@@ -296,45 +296,38 @@ def build_chrome_trace(report: ServeReport,
                        latency_model: BatchLatencyModel) -> dict:
     """One merged trace: request waterfall → batch → ops → sim cycles.
 
-    Re-simulates the same seed with span tracing restricted to the two
-    exemplar batches (determinism makes the replay bit-identical), then
-    lays each exemplar's modelled per-op execution and a cycle-level
-    simulated execution into the batch's dispatch window, flow-linked:
-    request → batch → graph_execute, batch → first sim span.
-
-    The telemetry layer's slowest-k exemplar requests additionally get
-    their request waterfalls reconstructed post-hoc
-    (:func:`~repro.serving.telemetry.emit_exemplar_spans`) — the tail
-    requests appear on the timeline without tracing every request.
+    Draws from the finished report (no re-simulation): the first 8
+    requests of each tail-attribution exemplar batch plus the
+    telemetry's slowest-k exemplar requests get their waterfalls
+    (:func:`~repro.serving.telemetry.emit_exemplar_spans`).  Each
+    exemplar batch's modelled per-op execution and a cycle-level
+    simulated execution are laid into its dispatch window,
+    flow-linked: request → batch → graph_execute, batch → first sim
+    span.
     """
     import numpy as np
 
-    from repro.obs.spans import SpanTracer, merge_chrome_traces
     from repro.runtime.executor import record_graph_spans
+    from repro.sim.trace import Tracer, merge_chrome_traces
 
+    serving = report.serving
     exemplars = report.tail.exemplar_batches
-    spans = SpanTracer(enabled=True)
-    replay = simulate_serving(
-        latency_model, report.qps, report.batching,
-        num_requests=report.num_requests, seed=report.seed,
-        spans=spans, trace_batches=set(exemplars.values()))
+    chosen = set()
+    for k in exemplars.values():
+        chosen.update(np.flatnonzero(serving.batch_index == k)[:8].tolist())
     if report.telemetry is not None:
-        # Slowest-k waterfalls, skipping requests the batch-exemplar
-        # tracing above already drew (first 8 members per traced batch).
-        traced = set()
-        for k in exemplars.values():
-            members = np.flatnonzero(replay.batch_index == k)[:8]
-            traced.update(int(m) for m in members)
-        slow = [rid for rep, rid in report.telemetry.exemplars.slowest_ids()
-                if rep == 0 and rid not in traced]
-        emit_exemplar_spans(replay, slow, spans)
+        chosen.update(rid for rep, rid
+                      in report.telemetry.exemplars.slowest_ids()
+                      if rep == 0)
+    spans = Tracer(enabled=True)
+    emit_exemplar_spans(serving, chosen, spans)
     sim_traces: List[dict] = []
     for cohort, k in sorted(exemplars.items()):
-        batch = replay.batches[k]
         batch_spans = spans.find(f"batch{k}")
         if not batch_spans:
             continue
         batch_span = batch_spans[-1]
+        batch = serving.batches[k]
         # Modelled per-op execution inside the batch window.
         with spans.attach(batch_span):
             estimate = latency_model.estimate_for(batch.size)
@@ -345,10 +338,9 @@ def build_chrome_trace(report: ServeReport,
         # Cycle-level exemplar, shifted into the dispatch window and
         # flow-linked from the batch span to its first sim span.
         _, acc = _profile_exemplar(batch.size, f"batch{k}.sim")
-        fid = spans.link(batch_span)
-        acc.tracer.mark_flow_in(fid)
+        spans.link(batch_span, acc.tracer.spans[0])
         sim_traces.append(acc.tracer.to_chrome_trace(
-            acc.config.frequency_ghz, ts_offset_us=batch.dispatch_us))
+            acc.config.frequency_ghz * 1e3, ts_offset_us=batch.dispatch_us))
     return merge_chrome_traces(spans.to_chrome_trace(), *sim_traces)
 
 
@@ -573,67 +565,53 @@ def build_fleet_chrome_trace(fleet_report, max_requests: int = 32) -> dict:
 
     Draws the slowest ``max_requests`` served requests (the tail is
     what waterfalls are for) plus every hedge *winner*: a router span
-    (policy + chosen replica), flow-linked to the request's phase
-    waterfall (route / hedge_wait / batch_wait / queue_wait / execute),
-    flow-linked in turn to the winning replica's device batch span.
-    Everything is reconstructed post-hoc from the fleet report's exact
-    per-request arrays — no per-request tracing overhead at simulation
-    time (PR 6's tail-exemplar discipline, fleet-wide).
+    (policy + chosen replica) on the ``router`` row, a ``hedge_wait``
+    span when the duplicate won, and the winning replica copy's
+    waterfall and device batch span, drawn by
+    :func:`~repro.serving.telemetry.emit_exemplar_spans` from that
+    replica's report and labelled with the fleet request index.
+    Everything is reconstructed post-hoc from the fleet report — no
+    per-request tracing overhead at simulation time.
     """
     import numpy as np
 
-    from repro.obs.spans import SpanTracer
     from repro.serving.simulator import STATUS_SERVED
+    from repro.sim.trace import Tracer
 
-    spans = SpanTracer(enabled=True)
+    spans = Tracer(enabled=True)
     report = fleet_report
     served = np.flatnonzero(report.status == STATUS_SERVED)
     slowest = served[np.argsort(report.latencies_us[served],
                                 kind="stable")][::-1][:max_requests]
     winners = np.flatnonzero((report.hedge_wait_us > 0)
                              & (report.status == STATUS_SERVED))
-    chosen = sorted(set(int(i) for i in slowest)
-                    | set(int(i) for i in winners[:max_requests]))
+    chosen = sorted(set(slowest.tolist())
+                    | set(winners[:max_requests].tolist()))
 
-    drawn_batches = set()
+    routers = {}
+    by_replica: Dict[int, Dict[int, int]] = {}
     for i in chosen:
         arrival = float(report.arrivals_us[i])
         r = int(report.replica[i])
-        pos = int(report.replica_pos[i])
-        local = report.per_replica[r]
-        b = int(local.batch_index[pos])
         route_end = arrival + float(report.route_overhead_us[i])
-        track = f"request.{i}"
-        router_span = spans.add(
+        routers[i] = spans.record(
             "router", f"route req{i}", arrival, route_end,
             pid="fleet.router", policy=report.config.router.policy,
             primary=int(report.assigned[i]),
             hedged=int(report.hedged[i]), winner=r)
-        finish = arrival + float(report.latencies_us[i])
-        with spans.span(track, f"req{i}", arrival, finish,
-                        pid="fleet.requests", replica=r, batch=b,
-                        hedge_won=bool(report.hedge_wait_us[i] > 0)) as req:
-            t = route_end
-            for phase in ("hedge_wait", "batch_wait", "queue_wait",
-                          "retry_overhead", "execute"):
-                width = float(getattr(report, f"{phase}_us")[i])
-                if width > 0:
-                    spans.add(track, phase, t, t + width,
-                              pid="fleet.requests")
-                    t += width
-        spans.link(router_span, req)
-        if 0 <= b < len(local.batches):
-            batch = local.batches[b]
-            key = (r, b)
-            if key not in drawn_batches:
-                drawn_batches.add(key)
-                batch_span = spans.add(
-                    f"replica{r}.device", f"r{r}.batch{b}",
-                    batch.dispatch_us, batch.finish_us,
-                    pid=f"fleet.replica{r}", size=batch.size)
-            else:
-                batch_span = spans.find(f"r{r}.batch{b}")[-1]
-            spans.link(req, batch_span)
+        hedge_wait = float(report.hedge_wait_us[i])
+        if hedge_wait > 0:
+            spans.record(f"request.{i}", "hedge_wait", route_end,
+                         route_end + hedge_wait, pid="fleet.requests",
+                         parent=routers[i])
+        by_replica.setdefault(r, {})[int(report.replica_pos[i])] = i
+    for r, labels in sorted(by_replica.items()):
+        drawn = emit_exemplar_spans(report.per_replica[r], labels, spans,
+                                    labels=labels,
+                                    request_pid="fleet.requests",
+                                    device_pid=f"fleet.replica{r}")
+        for pos, req in drawn.items():
+            spans.link(routers[labels[pos]], req)
     return spans.to_chrome_trace()
 
 

@@ -9,10 +9,9 @@ from the operator-level models back to that context:
   injected arrivals, a batching window, per-batch latency from the
   analytical model, latency percentiles and throughput, an exact
   per-request queue-wait / batch-formation-wait / retry / execute
-  attribution, optional request-waterfall span tracing, and the
-  failure handling (per-attempt deadlines, capped-backoff retries,
-  hedged dispatch, load shedding, card failover driven by
-  :mod:`repro.faults`);
+  attribution, and the failure handling (per-attempt deadlines,
+  capped-backoff retries, hedged dispatch, load shedding, card
+  failover driven by :mod:`repro.faults`);
 * :mod:`repro.serving.resilience` — the failure-handling vocabulary:
   :class:`~repro.serving.resilience.ResilienceConfig` and
   ``simulate_serving_resilient``, the same function object as
@@ -38,7 +37,7 @@ from the operator-level models back to that context:
   behind Figure 2's server-count curves;
 * :mod:`repro.serving.telemetry` — fleet-grade bounded telemetry:
   mergeable quantile sketches, windowed time series, tail-biased
-  exemplars with post-hoc span reconstruction, and anomaly detection,
+  exemplars with post-hoc request waterfalls, and anomaly detection,
   all derived from finished reports so observation never perturbs the
   simulation.
 

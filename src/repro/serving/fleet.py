@@ -50,6 +50,7 @@ routing is **bit-identical** to the bare per-replica engine.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -57,8 +58,8 @@ import numpy as np
 
 from repro.serving.resilience import (ResilienceConfig,
                                       simulate_serving_resilient)
-from repro.serving.simulator import (STATUS_NAMES, STATUS_SERVED,
-                                     BatchingConfig, ServingReport,
+from repro.serving.simulator import (STATUS_SERVED, BatchingConfig,
+                                     OutcomeQueries, ServingReport,
                                      check_arrivals)
 from repro.serving.traffic import TrafficTrace
 
@@ -260,9 +261,10 @@ class RouterConfig:
         if self.policy not in ROUTING_POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; expected "
                              f"one of {ROUTING_POLICIES}")
-        if (self.route_latency_us < 0 or self.hedge_backlog_us < 0
-                or self.hedge_delay_us < 0):
-            raise ValueError("router latencies must be non-negative")
+        for name in ("route_latency_us", "hedge_backlog_us",
+                     "hedge_delay_us"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
     def to_dict(self) -> Dict:
         return {"policy": self.policy,
@@ -563,13 +565,14 @@ class ObservedLatencyFeed:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(OutcomeQueries):
     """What one fleet simulation measured, per routed request.
 
-    Quacks like a :class:`~repro.serving.simulator.ServingReport` where
-    it matters (``arrivals_us`` / ``latencies_us`` / ``served_mask`` /
-    ``abort_us``), so :func:`repro.serving.slo.slo_from_report` and the
-    telemetry layer consume it unchanged.
+    Shares :class:`~repro.serving.simulator.ServingReport`'s outcome
+    queries and quacks like it where it matters (``arrivals_us`` /
+    ``latencies_us`` / ``served_mask`` / ``abort_us``), so
+    :func:`repro.serving.slo.slo_from_report` and the telemetry layer
+    consume it unchanged.
     """
 
     config: FleetConfig
@@ -594,40 +597,6 @@ class FleetReport:
     telemetry: Optional[object] = None
     hedged_requests: int = 0
     hedge_wins: int = 0
-
-    # -- ServingReport-compatible queries --------------------------------
-    @property
-    def served_mask(self) -> np.ndarray:
-        return self.status == STATUS_SERVED
-
-    @property
-    def availability(self) -> float:
-        n = self.arrivals_us.size
-        if n == 0:
-            return 1.0
-        return float(np.count_nonzero(self.served_mask)) / n
-
-    def counts_by_status(self) -> Dict[str, int]:
-        return {name: int(np.count_nonzero(self.status == code))
-                for code, name in enumerate(STATUS_NAMES)}
-
-    def percentile(self, q: float) -> float:
-        lat = self.latencies_us[self.served_mask]
-        if lat.size == 0:
-            return float("nan")
-        return float(np.percentile(lat, q))
-
-    @property
-    def p50_us(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99_us(self) -> float:
-        return self.percentile(99)
-
-    def meets_sla(self, sla_us: float, q: float = 99.0) -> bool:
-        p = self.percentile(q)
-        return bool(p <= sla_us)
 
     def breakdown_means(self) -> Dict[str, float]:
         """Mean microseconds per phase across served requests."""
@@ -713,17 +682,13 @@ class FleetReport:
                 relative_accuracy=relative_accuracy,
                 name=f"replica{spec.replica}.observed_latency_us")
 
-        mask = self.served_mask
-        if self.arrivals_us.size:
-            completion = self.arrivals_us + self.latencies_us
-            order = np.argsort(completion, kind="stable")
-            for i in order.tolist():
-                if not mask[i]:
-                    continue
-                r = int(self.replica[i])
-                value = float(self.latencies_us[i])
-                sketches[r].add(value)
-                series[r].record(float(completion[i]), value)
+        completion = self.arrivals_us + self.latencies_us
+        order = np.argsort(completion, kind="stable")
+        order = order[self.served_mask[order]]
+        for r in sketches:
+            mine = order[self.replica[order] == r]
+            sketches[r].add_many(self.latencies_us[mine])
+            series[r].record_many(completion[mine], self.latencies_us[mine])
 
         service: Dict[int, float] = {}
         for spec, report in zip(self.config.replicas, self.per_replica):

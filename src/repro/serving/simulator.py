@@ -33,11 +33,10 @@ counted — see :mod:`repro.serving.tail`):
 
 ``queue_wait + batch_wait + retry_overhead + execute == latency``
 exactly, per request; aborted requests have their phases truncated at
-the abort instant, so the identity holds for them too.  With a
-:class:`~repro.obs.spans.SpanTracer` attached, selected batches
-additionally emit a request-waterfall span tree (request → phase spans,
-flow-linked to the batch's device span) onto one Chrome/Perfetto
-timeline.
+the abort instant, so the identity holds for them too.  Request
+waterfalls are drawn post-hoc from the finished report
+(:func:`repro.serving.telemetry.emit_exemplar_spans`), so tracing can
+never perturb the simulation.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -171,43 +170,10 @@ class BatchRecord:
                 "queue_depth": self.queue_depth}
 
 
-@dataclass
-class ServingReport:
-    """What one serving simulation measured.
-
-    Every per-request array aligns with ``arrivals_us`` (one entry per
-    offered request, served or aborted).
-    """
-
-    qps_offered: float
-    qps_served: float
-    latencies_us: np.ndarray
-    batch_sizes: List[int]
-    busy_fraction: float
-    #: per-request phase attribution; with ``retry_overhead_us`` the
-    #: phases sum to the request's latency
-    queue_wait_us: np.ndarray
-    batch_wait_us: np.ndarray
-    execute_us: np.ndarray
-    arrivals_us: np.ndarray
-    #: index into ``batches`` for each served request (-1 if aborted)
-    batch_index: np.ndarray
-    batches: List[BatchRecord]
-    #: per-request outcome (``STATUS_*``)
-    status: np.ndarray
-    #: microseconds a request spent on attempts that did *not* serve it
-    #: (timeout/failure + backoff before the successful attempt)
-    retry_overhead_us: np.ndarray
-    #: dispatch attempts per request (1 = first try succeeded)
-    attempts: np.ndarray
-    #: abort instant for non-served requests (NaN for served ones)
-    abort_us: np.ndarray
-    #: batches dispatched twice (hedged) and how often the hedge won
-    hedged_batches: int = 0
-    hedge_wins: int = 0
-    #: bounded mergeable telemetry (:class:`ServingTelemetry`), attached
-    #: when the simulation ran with ``collect_telemetry=True``
-    telemetry: Optional[object] = None
+class OutcomeQueries:
+    """Outcome queries over per-request ``status`` / ``latencies_us`` /
+    ``arrivals_us`` arrays, shared by :class:`ServingReport` and the
+    fleet's :class:`~repro.serving.fleet.FleetReport`."""
 
     @property
     def served_mask(self) -> np.ndarray:
@@ -248,13 +214,52 @@ class ServingReport:
     def p99_us(self) -> float:
         return self.percentile(99)
 
-    @property
-    def mean_batch(self) -> float:
-        return float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
-
     def meets_sla(self, sla_us: float, q: float = 99.0) -> bool:
         p = self.percentile(q)
         return bool(p <= sla_us)   # NaN (empty run) never meets an SLA
+
+
+@dataclass
+class ServingReport(OutcomeQueries):
+    """What one serving simulation measured.
+
+    Every per-request array aligns with ``arrivals_us`` (one entry per
+    offered request, served or aborted).
+    """
+
+    qps_offered: float
+    qps_served: float
+    latencies_us: np.ndarray
+    batch_sizes: List[int]
+    busy_fraction: float
+    #: per-request phase attribution; with ``retry_overhead_us`` the
+    #: phases sum to the request's latency
+    queue_wait_us: np.ndarray
+    batch_wait_us: np.ndarray
+    execute_us: np.ndarray
+    arrivals_us: np.ndarray
+    #: index into ``batches`` for each served request (-1 if aborted)
+    batch_index: np.ndarray
+    batches: List[BatchRecord]
+    #: per-request outcome (``STATUS_*``)
+    status: np.ndarray
+    #: microseconds a request spent on attempts that did *not* serve it
+    #: (timeout/failure + backoff before the successful attempt)
+    retry_overhead_us: np.ndarray
+    #: dispatch attempts per request (1 = first try succeeded)
+    attempts: np.ndarray
+    #: abort instant for non-served requests (NaN for served ones)
+    abort_us: np.ndarray
+    #: batches dispatched twice (hedged) and how often the hedge won
+    hedged_batches: int = 0
+    hedge_wins: int = 0
+    #: bounded mergeable telemetry (:class:`ServingTelemetry`), attached
+    #: when the simulation ran with ``collect_telemetry=True``
+    telemetry: Optional[object] = None
+
+    @property
+    def mean_batch(self) -> float:
+        return float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
 
     # -- request-phase queries -------------------------------------------
     def breakdown_means(self) -> Dict[str, float]:
@@ -363,16 +368,14 @@ def simulate_serving(latency_model: Callable[[int], float],
                      seed: int = 0,
                      faults=None,
                      registry=None,
-                     spans=None,
-                     trace_batches: Optional[Set[int]] = None,
-                     trace_requests_per_batch: int = 8,
                      collect_telemetry: bool = False,
                      replica: int = 0,
                      arrivals: Optional[np.ndarray] = None) -> ServingReport:
     """Simulate serving ``num_requests`` Poisson arrivals at ``qps``.
 
     ``latency_model(batch_size)`` returns the execution latency in
-    microseconds.  One FIFO queue feeds ``resilience.num_cards`` cards,
+    microseconds; a value that is negative, infinite or NaN raises
+    ``ValueError``.  One FIFO queue feeds ``resilience.num_cards`` cards,
     one in-flight batch per card (the runtime's default stream); each
     batch goes to the earliest-free card (lowest index on ties).
 
@@ -403,13 +406,6 @@ def simulate_serving(latency_model: Callable[[int], float],
     batch-size/occupancy histograms, queue-depth samples, outcome
     counters, and availability / device-busy-fraction gauges.
 
-    ``spans`` is an optional :class:`~repro.obs.spans.SpanTracer`; when
-    enabled, batches in ``trace_batches`` (default: all) emit a device
-    span plus per-request waterfalls (first ``trace_requests_per_batch``
-    served members), flow-linked request → batch.  Tracing never alters
-    the simulation: results are bit-identical with spans on or off (the
-    conformance determinism pillar checks this).
-
     ``collect_telemetry=True`` attaches a
     :class:`~repro.serving.telemetry.ServingTelemetry` (quantile
     sketches, windowed series, tail exemplars tagged ``replica``) to
@@ -422,7 +418,6 @@ def simulate_serving(latency_model: Callable[[int], float],
     """
     cfg = resilience
     arrivals, qps = resolve_arrivals(qps, num_requests, seed, arrivals)
-    tracing = spans is not None and spans.enabled
 
     n = int(arrivals.size)
     arr = arrivals.tolist()
@@ -545,6 +540,9 @@ def simulate_serving(latency_model: Callable[[int], float],
             # dispatch; the serving tier discovers it at dispatch time
             return math.inf, 0.0, math.inf, at
         exec_us = latency_model(size)
+        if not 0.0 <= exec_us < math.inf:
+            raise ValueError(f"latency_model({size}) returned {exec_us!r}; "
+                             "expected a finite, non-negative latency")
         if faults is not None:
             exec_us *= faults.card_slowdown(card, start)
         finish = start + exec_us
@@ -688,11 +686,6 @@ def simulate_serving(latency_model: Callable[[int], float],
             index=k, size=size, first_arrival_us=first_t,
             ready_us=float(ready), dispatch_us=float(start),
             finish_us=float(finish), queue_depth=depth))
-        if tracing and (trace_batches is None or k in trace_batches):
-            limit = trace_requests_per_batch
-            _trace_batch(spans, k, size, _request_ids(who)[:limit].tolist(),
-                         t[:limit].tolist(), arrivals, ready, start,
-                         finish)
 
     span_us = span_end - arrivals[0] if n else 0.0
     report = ServingReport(
@@ -733,36 +726,6 @@ def _request_ids(who) -> np.ndarray:
     if isinstance(who, slice):
         return np.arange(who.start, who.stop)
     return who
-
-
-def _trace_batch(spans, k: int, batch: int, requests: List[int],
-                 enqueued: List[float], arrivals: np.ndarray, ready: float,
-                 dispatch_at: float, finish: float) -> None:
-    """Emit the request-waterfall span tree for one traced batch."""
-    flow_ids = []
-    for r, enqueue in zip(requests, enqueued):
-        arrival = float(arrivals[r])
-        track = f"request.{r}"
-        with spans.span(track, f"req{r}", arrival, finish,
-                        pid="serving.requests", batch=k,
-                        batch_size=batch) as req:
-            if enqueue > arrival:
-                spans.add(track, "retry_overhead", arrival, enqueue,
-                          pid="serving.requests")
-            boundary = max(enqueue, min(ready, dispatch_at))
-            if boundary > enqueue:
-                spans.add(track, "batch_wait", enqueue, boundary,
-                          pid="serving.requests")
-            if dispatch_at > boundary:
-                spans.add(track, "queue_wait", boundary, dispatch_at,
-                          pid="serving.requests")
-            spans.add(track, "execute", dispatch_at, finish,
-                      pid="serving.requests")
-        fid = spans.link(req)
-        if fid is not None:
-            flow_ids.append(fid)
-    spans.add("serving.device", f"batch{k}", dispatch_at, finish,
-              pid="serving", size=batch, flow_in=tuple(flow_ids))
 
 
 def _record_metrics(registry, report: ServingReport,

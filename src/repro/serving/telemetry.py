@@ -16,10 +16,9 @@ perturb the simulation it observes:
   request rate, per-window latency quantiles, and queue depth.
 * **Tail exemplars** → :class:`~repro.obs.exemplars.ExemplarStore`:
   the exact slowest-k requests plus a seeded priority reservoir, each
-  carrying its full phase attribution so
-  :func:`emit_exemplar_spans` can reconstruct the *same* request
-  waterfall the full tracer would have drawn (PR 3's span trees),
-  without tracing every request.
+  carrying its full phase attribution; :func:`emit_exemplar_spans`
+  draws any chosen request's waterfall from the report, so the tail
+  appears on a timeline without tracing every request.
 * **Anomalies** → :func:`ServingTelemetry.anomalies` runs the EWMA /
   CUSUM detectors over the windowed signals.
 
@@ -32,7 +31,7 @@ and the CI telemetry job both assert this).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -325,67 +324,58 @@ class ServingTelemetry:
 
 
 def emit_exemplar_spans(report: ServingReport,
-                        request_ids: Iterable[int],
-                        spans,
-                        track_prefix: str = "exemplar.") -> List[int]:
-    """Reconstruct request-waterfall span trees for chosen requests.
+                        request_ids: Iterable[int], spans,
+                        labels: Optional[Mapping[int, int]] = None,
+                        request_pid: str = "serving.requests",
+                        device_pid: str = "serving") -> Dict[int, object]:
+    """Draw request-waterfall span trees for chosen served requests.
 
-    Produces, post-hoc and per request, exactly the span structure the
-    simulator's live tracer emits (request span with batch_wait /
-    queue_wait / execute children, flow-linked to a device batch span)
-    — every input is already in the report's per-request arrays and
-    :class:`BatchRecord` list.  This is what makes tail-biased tracing
-    honest: the slowest-k exemplars get the *same* waterfall a full
-    trace would have drawn, verified against PR 3's tracer in the
-    tests.  Returns the request ids actually emitted (sorted).
-
-    ``track_prefix`` namespaces the reconstructed rows (tracks
-    ``{prefix}request.N`` / ``{prefix}device`` under the
-    ``serving.exemplars`` process) so a merged Chrome trace keeps them
-    visually and programmatically distinct from the live tracer's
-    ``request.N`` rows — identical track ids previously interleaved
-    both span sets on one row.  Pass ``""`` to reproduce the live
-    tracer's naming exactly (the equivalence test does).
+    The one waterfall builder, post-hoc from a finished report: each
+    request ``r`` gets a ``req{r}`` span on track ``request.{r}``
+    (process ``request_pid``) from its arrival to its batch's finish,
+    with ``retry_overhead`` / ``batch_wait`` / ``queue_wait`` /
+    ``execute`` children drawn from absolute times — enqueue is
+    ``arrival + retry_overhead_us``, the rest come from its
+    :class:`~repro.serving.simulator.BatchRecord` — and a flow arrow to
+    its batch's span on ``{device_pid}.device``, drawn once per batch.
+    Aborted and out-of-range ids are skipped.  ``labels`` renames
+    requests on their rows (the fleet labels a replica's requests by
+    fleet index).  Returns ``{request id: request span}`` in id order
+    (empty when ``spans`` is disabled).
     """
     if spans is None or not spans.enabled:
-        return []
-    pid = "serving.exemplars" if track_prefix else "serving.requests"
-    device_pid = "serving.exemplars" if track_prefix else "serving"
-    device_track = (f"{track_prefix}device" if track_prefix
-                    else "serving.device")
-    emitted: List[int] = []
+        return {}
     by_batch: Dict[int, List[int]] = {}
     for r in sorted(set(int(r) for r in request_ids)):
-        if r < 0 or r >= report.latencies_us.size:
+        if not 0 <= r < report.latencies_us.size:
             continue
-        b = int(report.batch_index[r]) if report.batch_index.size else -1
-        if not 0 <= b < len(report.batches):
-            continue
-        by_batch.setdefault(b, []).append(r)
+        b = int(report.batch_index[r])     # -1 unless served
+        if 0 <= b < len(report.batches):
+            by_batch.setdefault(b, []).append(r)
+    drawn: Dict[int, object] = {}
     for b in sorted(by_batch):
         batch = report.batches[b]
-        flow_ids = []
+        device = spans.record(f"{device_pid}.device", f"batch{b}",
+                              batch.dispatch_us, batch.finish_us,
+                              pid=device_pid, size=batch.size)
         for r in by_batch[b]:
+            label = r if labels is None else labels[r]
+            track = f"request.{label}"
             arrival = float(report.arrivals_us[r])
-            track = f"{track_prefix}request.{r}"
-            with spans.span(track, f"req{r}", arrival, batch.finish_us,
-                            pid=pid, batch=b,
+            enqueue = arrival + float(report.retry_overhead_us[r])
+            formed = max(enqueue, min(batch.ready_us, batch.dispatch_us))
+            with spans.span(track, f"req{label}", arrival, batch.finish_us,
+                            pid=request_pid, batch=b,
                             batch_size=batch.size) as req:
-                boundary = max(arrival,
-                               min(batch.ready_us, batch.dispatch_us))
-                if boundary > arrival:
-                    spans.add(track, "batch_wait", arrival, boundary,
-                              pid=pid)
-                if batch.dispatch_us > boundary:
-                    spans.add(track, "queue_wait", boundary,
-                              batch.dispatch_us, pid=pid)
-                spans.add(track, "execute", batch.dispatch_us,
-                          batch.finish_us, pid=pid)
-            fid = spans.link(req)
-            if fid is not None:
-                flow_ids.append(fid)
-            emitted.append(r)
-        spans.add(device_track, f"batch{b}", batch.dispatch_us,
-                  batch.finish_us, pid=device_pid, size=batch.size,
-                  flow_in=tuple(flow_ids))
-    return emitted
+                for name, start, end in (
+                        ("retry_overhead", arrival, enqueue),
+                        ("batch_wait", enqueue, formed),
+                        ("queue_wait", formed, batch.dispatch_us)):
+                    if end > start:
+                        spans.record(track, name, start, end,
+                                     pid=request_pid)
+                spans.record(track, "execute", batch.dispatch_us,
+                             batch.finish_us, pid=request_pid)
+            spans.link(req, device)
+            drawn[r] = req
+    return dict(sorted(drawn.items()))

@@ -14,7 +14,7 @@ from repro.sim.engine import (Engine, Event, HeapTimeQueue, Process,
                               SimulationError)
 from repro.sim.resources import Queue, Resource, Semaphore
 from repro.sim.stats import StatGroup
-from repro.sim.trace import Span, Tracer
+from repro.sim.trace import Span, Tracer, merge_chrome_traces
 
 __all__ = [
     "Engine",
@@ -28,4 +28,5 @@ __all__ = [
     "Span",
     "StatGroup",
     "Tracer",
+    "merge_chrome_traces",
 ]

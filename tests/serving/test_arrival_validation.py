@@ -1,11 +1,13 @@
-"""Explicit arrival vectors are validated before any work is done.
+"""Serving inputs are validated at the boundary.
 
 ``simulate_serving``, ``simulate_fleet`` and
 ``simulate_fleet_autoscaled`` share one check: a non-finite, negative
 or out-of-order arrival time raises ``ValueError`` at the boundary.
 Each test also fails if the entry point did work first (ran the
 latency model, routed, or simulated an epoch): a bad time must not be
-served with a NaN latency, or fail three layers further down.
+served with a NaN latency, or fail three layers further down.  A
+latency model's output and a ``RouterConfig``'s latencies must be
+finite and non-negative too.
 """
 
 import numpy as np
@@ -14,8 +16,8 @@ import pytest
 from repro.serving import fleet as fleet_mod
 from repro.serving import simulate_serving
 from repro.serving.fleet import (AutoscaleConfig, FleetConfig,
-                                 simulate_fleet, simulate_fleet_autoscaled,
-                                 uniform_fleet)
+                                 RouterConfig, simulate_fleet,
+                                 simulate_fleet_autoscaled, uniform_fleet)
 
 #: label -> (arrival times, the error the check names)
 BAD_ARRIVALS = {
@@ -68,3 +70,27 @@ def test_ties_and_time_zero_are_valid():
     report = simulate_serving(lambda b: 100.0, 0.0,
                               arrivals=np.array([0.0, 0.0, 3.0]))
     assert np.all(np.isfinite(report.latencies_us))
+
+
+#: label -> what a broken latency model returns for every batch
+BAD_LATENCIES = {"nan": float("nan"), "inf": float("inf"), "negative": -5.0}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_LATENCIES))
+def test_simulate_serving_rejects_bad_latency_model(label):
+    # a NaN latency would become a NaN p99; a negative one a negative
+    # execute phase on a "served" request
+    value = BAD_LATENCIES[label]
+    with pytest.raises(ValueError, match="latency_model"):
+        simulate_serving(lambda b: value, 0.0, registry=None,
+                         arrivals=np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("name", ["route_latency_us", "hedge_backlog_us",
+                                  "hedge_delay_us"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf"), -1.0])
+def test_router_config_rejects_non_finite_or_negative(name, value):
+    # a NaN hedge threshold would silently never hedge
+    with pytest.raises(ValueError, match=name):
+        RouterConfig(**{name: value})

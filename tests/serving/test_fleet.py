@@ -1,5 +1,6 @@
 """Fleet serving: router, replicas, faults, autoscaling, capacity."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -338,3 +339,63 @@ class TestConfigValidation:
             AutoscaleConfig(min_replicas=5, max_replicas=2)
         with pytest.raises(ValueError):
             AutoscaleConfig(upscale_burn=0.1, downscale_burn=0.5)
+
+
+#: three replicas behind a hedging router; two replica outages kill
+#: in-flight batches, so their members retry (and some time out)
+RETRY_PLAN = FaultPlan(events=(
+    FaultEvent(start=5_000.0, kind="card.failure", target=1,
+               duration=2_000.0),
+    FaultEvent(start=11_000.0, kind="card.failure", target=2,
+               duration=1_500.0)))
+
+
+def retry_fleet():
+    from repro.serving.simulator import BatchingConfig
+    config = FleetConfig(
+        replicas=uniform_fleet(3, racks=2, power_domains=2),
+        router=RouterConfig(policy="hedge", route_latency_us=10.0,
+                            hedge_backlog_us=20.0),
+        batching=BatchingConfig(16, 100.0),
+        resilience=ResilienceConfig(deadline_us=600.0, max_retries=2),
+        racks=2, power_domains=2)
+    return simulate_fleet(MODEL, short_trace(duration_us=20_000.0), config,
+                          fault_plan=RETRY_PLAN)
+
+
+class TestFleetWaterfall:
+    def test_to_dict_is_pinned(self):
+        """Golden SHA-256 of ``to_dict()``, generated with per-request
+        ingest into the observed-latency feed."""
+        report = retry_fleet()
+        assert report.hedge_wins > 0
+        digest = hashlib.sha256(json.dumps(report.to_dict(),
+                                           sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "9036c3ae9a0b6f48fe894c0c2b0e58a4"
+            "cc0ed2c197b42ead50b738b853ecba89")
+
+    def test_retried_request_queue_wait_ends_at_dispatch(self):
+        from repro.serve_report import build_fleet_chrome_trace
+        from tests.serving.waterfall_check import check_waterfalls
+        report = retry_fleet()
+        trace = build_fleet_chrome_trace(report, max_requests=64)
+        xs = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
+        phases = {}
+        for e in xs:
+            if e["tid"].startswith("request.") and "parent_id" in e["args"]:
+                phases.setdefault((e["pid"], e["args"]["parent_id"]),
+                                  {})[e["name"]] = e
+        retried = [p for p in phases.values()
+                   if "retry_overhead" in p and "queue_wait" in p]
+        assert retried
+        for p in retried:
+            queue = p["queue_wait"]
+            assert queue["ts"] + queue["dur"] == pytest.approx(
+                p["execute"]["ts"], abs=1e-6)
+        counts = check_waterfalls(trace)   # execute starts at dispatch
+        assert counts["retry_overhead"] >= len(retried)
+        assert any(e["name"] == "hedge_wait" for e in xs)
+        names = {e["args"]["name"] for e in trace["traceEvents"]
+                 if e.get("ph") == "M"}
+        assert {"fleet.router", "fleet.requests"} <= names

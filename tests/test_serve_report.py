@@ -6,6 +6,7 @@ import pytest
 
 from repro.serve_report import (WORKLOADS, build_chrome_trace, main,
                                 run_serve_report)
+from tests.serving.waterfall_check import check_waterfalls
 
 #: Small, exemplar-free run shared across the class (the DES exemplar
 #: profiles are exercised separately and in the CLI smoke test).
@@ -108,13 +109,11 @@ class TestServeReport:
         trace = build_chrome_trace(report, model)
         tracks = {e["tid"] for e in trace["traceEvents"]
                   if e.get("ph") == "X"}
-        # Slowest-k waterfalls land on the namespaced exemplar tracks;
-        # requests the batch-exemplar tracing already drew live keep
-        # their plain request.N rows (and are skipped post-hoc).
+        # one builder draws every waterfall, so the slowest-k exemplars
+        # and the exemplar batches' members share the request.N rows
         for _rep, rid in report.telemetry.exemplars.slowest_ids():
-            assert (f"exemplar.request.{rid}" in tracks
-                    or f"request.{rid}" in tracks)
-        assert any(t.startswith("exemplar.request.") for t in tracks)
+            assert f"request.{rid}" in tracks
+        assert check_waterfalls(trace)["requests"] >= 8
 
     def test_cli_text_json_and_chrome(self, tmp_path, capsys):
         assert main(["quickstart", "--requests", "400",
